@@ -40,14 +40,14 @@ class RandomRelocationStrategy(RelocationStrategy):
         configuration = context.game.configuration
         current = configuration.cluster_of(peer_id)
         if self.rng.random() >= self.move_probability:
-            return self._stay(peer_id, context)
+            return RelocationProposal.stay(peer_id, current)
         candidates = [
             cluster_id
             for cluster_id in configuration.nonempty_clusters()
             if cluster_id != current
         ]
         if not candidates:
-            return self._stay(peer_id, context)
+            return RelocationProposal.stay(peer_id, current)
         target = self.rng.choice(candidates)
         # The reported gain is deliberately tiny but positive so the protocol
         # treats the request as actionable while still ranking any

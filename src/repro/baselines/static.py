@@ -28,4 +28,5 @@ class StaticStrategy(RelocationStrategy):
     name = "static"
 
     def propose(self, peer_id: PeerId, context: StrategyContext) -> Optional[RelocationProposal]:
-        return self._stay(peer_id, context)
+        current = context.game.configuration.cluster_of(peer_id)
+        return RelocationProposal.stay(peer_id, current)

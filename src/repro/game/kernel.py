@@ -52,7 +52,7 @@ attached; pass ``use_kernel=False`` to the game to force the reference path
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable, Sequence
+from collections.abc import Hashable, Iterator, Mapping, Sequence
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -62,13 +62,21 @@ from repro.errors import ConfigurationError
 from repro.game.model import BestResponse
 from repro.peers.configuration import ClusterConfiguration
 
-__all__ = ["BestResponseKernel"]
+__all__ = ["BestResponseKernel", "BestResponseSet"]
 
 PeerId = Hashable
 ClusterId = Hashable
 
 #: Kernel backends accepted by :class:`BestResponseKernel`.
 _BACKENDS = ("dense", "labels")
+
+
+def repr_rank(items: Sequence[Hashable]) -> np.ndarray:
+    """Position of every item in ``sorted(items, key=repr)``."""
+    order = sorted(range(len(items)), key=lambda position: repr(items[position]))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order), dtype=np.int64)
+    return rank
 
 
 class BestResponseKernel:
@@ -132,6 +140,7 @@ class BestResponseKernel:
         self._peer_order: List[PeerId] = matrix.peer_order
         # Shared with the matrix (built exactly once per matrix, not per kernel).
         self._peer_index: Dict[PeerId, int] = matrix.peer_index
+        self._peer_rank: Optional[np.ndarray] = None
         if backend == "labels":
             self._source = matrix.factored(resolved_dtype)
             self._W: Optional[np.ndarray] = None
@@ -419,6 +428,18 @@ class BestResponseKernel:
         """The row ordering of peer ids (the recall matrix's order)."""
         return list(self._peer_order)
 
+    @property
+    def peer_rank(self) -> np.ndarray:
+        """Every row's position in the ``repr`` order of the peer ids.
+
+        Computed once per kernel (the row order never changes); the
+        protocol's gather phase elects representatives and breaks gain ties
+        with it.
+        """
+        if self._peer_rank is None:
+            self._peer_rank = repr_rank(self._peer_order)
+        return self._peer_rank
+
     def global_covered(self) -> np.ndarray:
         """``V @ M`` — globally-weighted covered recall per cluster column.
 
@@ -664,43 +685,23 @@ class BestResponseKernel:
         )
         return selection
 
-    def _response_for_row(
-        self, row: int, selection: "BestResponseKernel._Selection"
-    ) -> BestResponse:
-        current_cluster = selection.candidates[int(selection.current_columns[row])]
-        current_cost = float(selection.current_costs[row])
-        if selection.stay[row]:
-            best_cluster = current_cluster
-            best_cost = current_cost
-        elif selection.use_new[row]:
-            best_cluster = NEW_CLUSTER
-            best_cost = float(selection.best_costs[row])
-        else:
-            best_cluster = selection.candidates[int(selection.best_columns[row])]
-            best_cost = float(selection.best_costs[row])
-        return BestResponse(
-            peer_id=self._peer_order[row],
-            current_cluster=current_cluster,
-            best_cluster=best_cluster,
-            current_cost=current_cost,
-            best_cost=best_cost,
-        )
-
     def best_response_all(
         self,
-        peer_ids: Optional[Iterable[PeerId]] = None,
         *,
         candidate_clusters: Optional[Sequence[ClusterId]] = None,
         include_new_cluster: bool = False,
         tolerance: float = 1e-12,
-    ) -> Tuple[Dict[PeerId, BestResponse], List[PeerId]]:
-        """Best response of every (requested) peer against the candidate set.
+    ) -> Tuple["BestResponseSet", List[PeerId]]:
+        """Best response of every peer against the candidate set.
 
-        Returns ``(responses, fallback_peers)``: *fallback_peers* lists peers
-        the kernel cannot score (their current cluster lies outside the
-        candidate set, or they joined several clusters) — the caller decides
-        how to evaluate those (the game falls back to the scalar path,
-        matching the reference implementation's behaviour exactly).
+        Returns ``(responses, fallback_peers)``.  *responses* is a
+        :class:`BestResponseSet`: a ``peer -> BestResponse`` mapping that
+        keeps the evaluation's arrays and builds response objects only when
+        read.  *fallback_peers* lists peers the kernel cannot score (their
+        current cluster lies outside the candidate set, or they joined
+        several clusters) — the caller decides how to evaluate those (the
+        game falls back to the scalar path, matching the reference
+        implementation's behaviour exactly).
         """
         configuration = self.configuration
         candidates: List[ClusterId] = (
@@ -709,14 +710,8 @@ class BestResponseKernel:
             else configuration.nonempty_clusters()
         )
         candidates = [cluster_id for cluster_id in candidates if cluster_id != NEW_CLUSTER]
-        wanted = set(peer_ids) if peer_ids is not None else None
-        responses: Dict[PeerId, BestResponse] = {}
         if not candidates:
-            return responses, [
-                peer_id
-                for peer_id in configuration.peer_ids()
-                if wanted is None or peer_id in wanted
-            ]
+            return BestResponseSet(self, None), configuration.peer_ids()
         selection = self._select(
             candidates, include_new_cluster=include_new_cluster, tolerance=tolerance
         )
@@ -726,14 +721,7 @@ class BestResponseKernel:
         # they belong to the caller's fallback path (where the reference
         # implementation's behaviour — including its errors — applies).
         fallback.extend(self._untracked_peers())
-        for row in np.nonzero(selection.eligible)[0]:
-            peer_id = peer_order[row]
-            if wanted is not None and peer_id not in wanted:
-                continue
-            responses[peer_id] = self._response_for_row(int(row), selection)
-        if wanted is not None:
-            fallback = [peer_id for peer_id in fallback if peer_id in wanted]
-        return responses, fallback
+        return BestResponseSet(self, selection), fallback
 
     def best_deviation(
         self,
@@ -773,7 +761,7 @@ class BestResponseKernel:
         tied_rows = deviating[gains[deviating] == best_gain]
         # max() over (gain, repr(peer_id)) breaks gain ties by largest repr.
         winner_row = max(tied_rows, key=lambda row: repr(self._peer_order[row]))
-        return self._response_for_row(int(winner_row), selection), fallback
+        return BestResponseSet(self, selection).response(int(winner_row)), fallback
 
     def detach(self) -> None:
         """Stop listening to the configuration (the kernel becomes read-only)."""
@@ -785,3 +773,67 @@ class BestResponseKernel:
             f"clusters={len(self._cluster_order)}, backend={self.backend}, "
             f"dtype={self.dtype}, stale={self.stale})"
         )
+
+
+class BestResponseSet(Mapping):
+    """Best responses of one kernel evaluation, kept as arrays.
+
+    A read-only ``peer -> BestResponse`` mapping over the rows the
+    evaluation answered, in the kernel's peer order.  A
+    :class:`~repro.game.model.BestResponse` is built only when an entry is
+    read; the selfish strategy's proposal batch reads :attr:`selection`
+    directly.
+    """
+
+    def __init__(
+        self,
+        kernel: BestResponseKernel,
+        selection: Optional["BestResponseKernel._Selection"],
+    ) -> None:
+        self.kernel = kernel
+        #: The evaluation's arrays (``None`` when there were no candidates).
+        self.selection = selection
+        #: Rows with a response in this set: the single-cluster peers.
+        self.answered = (
+            selection.eligible
+            if selection is not None
+            else np.zeros(len(kernel._peer_order), dtype=bool)
+        )
+
+    def response(self, row: int) -> BestResponse:
+        """The :class:`~repro.game.model.BestResponse` of kernel row *row*."""
+        selection = self.selection
+        current_cluster = selection.candidates[int(selection.current_columns[row])]
+        current_cost = float(selection.current_costs[row])
+        if selection.stay[row]:
+            best_cluster = current_cluster
+            best_cost = current_cost
+        elif selection.use_new[row]:
+            best_cluster = NEW_CLUSTER
+            best_cost = float(selection.best_costs[row])
+        else:
+            best_cluster = selection.candidates[int(selection.best_columns[row])]
+            best_cost = float(selection.best_costs[row])
+        return BestResponse(
+            peer_id=self.kernel._peer_order[row],
+            current_cluster=current_cluster,
+            best_cluster=best_cluster,
+            current_cost=current_cost,
+            best_cost=best_cost,
+        )
+
+    def __getitem__(self, peer_id: PeerId) -> BestResponse:
+        row = self.kernel._peer_index.get(peer_id)
+        if row is None or not self.answered[row]:
+            raise KeyError(peer_id)
+        return self.response(row)
+
+    def __iter__(self) -> Iterator[PeerId]:
+        peer_order = self.kernel._peer_order
+        return (peer_order[row] for row in np.flatnonzero(self.answered))
+
+    def __len__(self) -> int:
+        return int(np.count_nonzero(self.answered))
+
+    def __repr__(self) -> str:
+        return f"BestResponseSet(responses={len(self)})"

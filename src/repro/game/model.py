@@ -264,11 +264,12 @@ class ClusterGame:
         kernel = self._active_kernel()
         if kernel is not None:
             candidates, include_new = self._candidate_set(kernel.peer_order)
-            responses, fallback_peers = kernel.best_response_all(
+            kernel_responses, fallback_peers = kernel.best_response_all(
                 candidate_clusters=candidates,
                 include_new_cluster=include_new,
                 tolerance=tolerance,
             )
+            responses = dict(kernel_responses)
             for peer_id in fallback_peers:
                 responses[peer_id] = self.best_response(peer_id)
             return responses

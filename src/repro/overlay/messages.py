@@ -102,7 +102,9 @@ class MessageBus:
     """Counts every message published to it, by message type.
 
     The bus optionally retains the full message log (disabled by default at
-    experiment scale to keep memory bounded).
+    experiment scale to keep memory bounded).  With the log off, hot paths
+    count their messages in bulk through :meth:`record` instead of building
+    one message object each.
     """
 
     keep_log: bool = False
@@ -114,6 +116,16 @@ class MessageBus:
         self.counts[message.kind] = self.counts.get(message.kind, 0) + 1
         if self.keep_log:
             self.log.append(message)
+
+    def record(self, kind: str, n: int) -> None:
+        """Count *n* messages of type *kind* without building them.
+
+        For bulk accounting with the log off; ``n == 0`` adds nothing, so a
+        kind's counter appears only once a message of it was sent and the
+        counters keep their first-seen order.
+        """
+        if n:
+            self.counts[kind] = self.counts.get(kind, 0) + n
 
     def count(self, kind: str) -> int:
         """Number of messages of the given type name recorded so far."""

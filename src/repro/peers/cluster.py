@@ -84,8 +84,8 @@ class Cluster:
     def elect_representative(self, peer_id: Optional[PeerId] = None) -> Optional[PeerId]:
         """Elect a representative.
 
-        If *peer_id* is given it must be a member; otherwise the smallest
-        member id (deterministic) is elected.  Returns the elected peer, or
+        If *peer_id* is given it must be a member; otherwise the member with
+        the smallest ``repr`` (deterministic) is elected.  Returns the elected peer, or
         ``None`` for an empty cluster.
         """
         if peer_id is not None:

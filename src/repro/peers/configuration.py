@@ -56,6 +56,8 @@ class ClusterConfiguration:
         self._strategies: Dict[PeerId, Set[ClusterId]] = {}
         self._listeners: List["weakref.ref"] = []
         self._sorted_cluster_ids: Optional[List[ClusterId]] = None
+        self._cluster_positions: Optional[Dict[ClusterId, int]] = None
+        self._sorted_peer_ids: Optional[List[PeerId]] = None
         self._nonempty_cache: Optional[List[ClusterId]] = None
         self._empty_cache: Optional[List[ClusterId]] = None
         if assignment is not None:
@@ -118,6 +120,8 @@ class ClusterConfiguration:
         ]
 
     def _invalidate_partition_caches(self) -> None:
+        # The non-empty / empty cluster lists depend only on which clusters
+        # are empty; mutations call this when that set changes.
         self._nonempty_cache = None
         self._empty_cache = None
 
@@ -144,6 +148,7 @@ class ClusterConfiguration:
             raise ConfigurationError(f"cluster {cluster_id!r} already exists")
         self._clusters[cluster_id] = Cluster(cluster_id)
         self._sorted_cluster_ids = None
+        self._cluster_positions = None
         self._invalidate_partition_caches()
         self._notify("configuration_cluster_added", cluster_id)
 
@@ -159,6 +164,14 @@ class ClusterConfiguration:
         if self._sorted_cluster_ids is None:
             self._sorted_cluster_ids = sorted(self._clusters, key=repr)
         return list(self._sorted_cluster_ids)
+
+    def cluster_positions(self) -> Mapping[ClusterId, int]:
+        """``cluster id -> position`` in :meth:`cluster_ids` (cached; treat as read-only)."""
+        if self._cluster_positions is None:
+            self._cluster_positions = {
+                cluster_id: position for position, cluster_id in enumerate(self.cluster_ids())
+            }
+        return self._cluster_positions
 
     def nonempty_clusters(self) -> List[ClusterId]:
         """Identifiers of clusters with at least one member."""
@@ -196,7 +209,9 @@ class ClusterConfiguration:
 
     def peer_ids(self) -> List[PeerId]:
         """All assigned peer ids, deterministic order."""
-        return sorted(self._strategies, key=repr)
+        if self._sorted_peer_ids is None:
+            self._sorted_peer_ids = sorted(self._strategies, key=repr)
+        return list(self._sorted_peer_ids)
 
     def num_peers(self) -> int:
         """Number of assigned peers (cheap — no sort)."""
@@ -205,14 +220,18 @@ class ClusterConfiguration:
     def assign(self, peer_id: PeerId, cluster_id: ClusterId) -> None:
         """Add *cluster_id* to the strategy of *peer_id*."""
         cluster = self.cluster(cluster_id)
-        strategy = self._strategies.setdefault(peer_id, set())
+        strategy = self._strategies.get(peer_id)
+        if strategy is None:
+            strategy = self._strategies[peer_id] = set()
+            self._sorted_peer_ids = None
         if cluster_id in strategy:
             raise ConfigurationError(
                 f"peer {peer_id!r} already belongs to cluster {cluster_id!r}"
             )
         strategy.add(cluster_id)
         cluster.add(peer_id)
-        self._invalidate_partition_caches()
+        if cluster.size == 1:
+            self._invalidate_partition_caches()
         self._notify("configuration_assigned", peer_id, cluster_id)
 
     def remove_peer(self, peer_id: PeerId) -> None:
@@ -220,12 +239,16 @@ class ClusterConfiguration:
         strategy = self._strategies.pop(peer_id, None)
         if strategy is None:
             raise UnknownPeerError(peer_id)
+        self._sorted_peer_ids = None
         for cluster_id in sorted(strategy, key=repr):
-            self._clusters[cluster_id].remove(peer_id)
-            # Invalidate after every removal: a listener may (re)populate the
-            # partition caches from inside its callback, and the caches must
-            # never outlive a later membership change of this same loop.
-            self._invalidate_partition_caches()
+            cluster = self._clusters[cluster_id]
+            cluster.remove(peer_id)
+            # Invalidate after every removal that empties a cluster: a
+            # listener may (re)populate the partition caches from inside its
+            # callback, and the caches must never outlive a later membership
+            # change of this same loop.
+            if cluster.is_empty:
+                self._invalidate_partition_caches()
             self._notify("configuration_unassigned", peer_id, cluster_id)
 
     def move(self, peer_id: PeerId, from_cluster: ClusterId, to_cluster: ClusterId) -> None:
@@ -242,11 +265,14 @@ class ClusterConfiguration:
                 f"peer {peer_id!r} does not belong to cluster {from_cluster!r}"
             )
         destination = self.cluster(to_cluster)
-        self._clusters[from_cluster].remove(peer_id)
+        source = self._clusters[from_cluster]
+        source.remove(peer_id)
         strategy.remove(from_cluster)
         strategy.add(to_cluster)
         destination.add(peer_id)
-        self._invalidate_partition_caches()
+        # The partition caches only change when a cluster empties or fills.
+        if source.is_empty or destination.size == 1:
+            self._invalidate_partition_caches()
         self._notify("configuration_unassigned", peer_id, from_cluster)
         self._notify("configuration_assigned", peer_id, to_cluster)
 

@@ -23,7 +23,9 @@ from collections.abc import Hashable, Mapping
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.costs import NEW_CLUSTER, CostModel
+import numpy as np
+
+from repro.core.costs import CostModel
 from repro.events import (
     RELOCATION_GRANTED,
     ROUND_END,
@@ -37,7 +39,7 @@ from repro.overlay.messages import MessageBus
 from repro.peers.configuration import ClusterConfiguration
 from repro.peers.statistics import PeerStatistics
 from repro.protocol.rounds import RoundResult, execute_round
-from repro.strategies.base import RelocationProposal, RelocationStrategy, StrategyContext
+from repro.strategies.base import ProposalBatch, RelocationStrategy, StrategyContext
 
 __all__ = ["ProtocolResult", "ReformulationProtocol"]
 
@@ -183,33 +185,30 @@ class ReformulationProtocol:
         }
 
     def _filter_new_cluster_proposals(
-        self, proposals: Dict[PeerId, RelocationProposal], game: ClusterGame
-    ) -> Dict[PeerId, RelocationProposal]:
+        self, proposals: ProposalBatch, game: ClusterGame
+    ) -> ProposalBatch:
         """Apply the paper's cluster-creation precondition.
 
         A proposal targeting a fresh cluster is kept only if the peer's cost
         has increased by at least ``creation_cost_increase`` since the end of
         the previous period (always kept when no previous period is known and
-        the threshold is zero).
+        the threshold is zero).  A dropped proposal is withdrawn entirely:
+        its peer reports nothing this round.
         """
+        fresh = proposals.proposed & proposals.fresh
+        if not fresh.any():
+            return proposals
         if not self.allow_cluster_creation:
-            return {
-                peer_id: proposal
-                for peer_id, proposal in proposals.items()
-                if proposal.target_cluster != NEW_CLUSTER
-            }
+            return proposals.withdraw(fresh)
         if self.creation_cost_increase <= 0.0 or self._previous_costs is None:
             return proposals
-        filtered: Dict[PeerId, RelocationProposal] = {}
-        for peer_id, proposal in proposals.items():
-            if proposal.target_cluster != NEW_CLUSTER:
-                filtered[peer_id] = proposal
-                continue
+        for row in np.flatnonzero(fresh):
+            peer_id = proposals.peers[row]
             previous = self._previous_costs.get(peer_id)
             current = game.current_cost(peer_id)
             if previous is None or current - previous >= self.creation_cost_increase:
-                filtered[peer_id] = proposal
-        return filtered
+                fresh[row] = False
+        return proposals.withdraw(fresh)
 
     def _record_costs(self, result: ProtocolResult) -> None:
         # The kernel answers both global costs from its live vectorized state
@@ -257,7 +256,10 @@ class ReformulationProtocol:
         context = StrategyContext(
             game=game, statistics=statistics, previous_costs=self._previous_costs
         )
-        proposals = self.strategy.propose_all(self.configuration.peer_ids(), context)
+        proposals = ProposalBatch.from_proposals(
+            self.strategy.propose_all(self.configuration.peer_ids(), context),
+            self.configuration,
+        )
         proposals = self._filter_new_cluster_proposals(proposals, game)
         return execute_round(
             self.configuration,

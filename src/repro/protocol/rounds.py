@@ -82,6 +82,11 @@ def execute_round(
 ) -> RoundResult:
     """Run one two-phase round, mutating *configuration* in place.
 
+    *proposals* is the strategy's :class:`~repro.strategies.batch.ProposalBatch`
+    (or any ``peer -> proposal`` mapping); the gather phase works on its
+    arrays, and only the at most one request per cluster it returns is
+    served here, one by one, under the lock rule.
+
     ``enforce_locks=False`` disables the paper's cycle-avoiding lock rule
     (every request is served as long as it is still applicable); it exists for
     the ablation benchmark that measures what the rule buys.
@@ -133,7 +138,7 @@ def execute_round(
                 created_cluster=created_cluster,
             )
         )
-        if bus is not None:
+        if bus is not None and bus.keep_log:
             bus.publish(
                 GrantMessage(
                     sender=request.source_cluster,
@@ -143,4 +148,6 @@ def execute_round(
                     target_cluster=target_cluster,
                 )
             )
+        elif bus is not None:
+            bus.record(GrantMessage.__name__, 1)
     return result

@@ -13,12 +13,14 @@ from typing import Any
 from repro.registry import strategy_registry
 from repro.strategies.altruistic import AltruisticStrategy, exact_contributions
 from repro.strategies.base import RelocationProposal, RelocationStrategy, StrategyContext
+from repro.strategies.batch import ProposalBatch
 from repro.strategies.hybrid import HybridStrategy
 from repro.strategies.selfish import SelfishStrategy
 
 __all__ = [
     "RelocationStrategy",
     "RelocationProposal",
+    "ProposalBatch",
     "StrategyContext",
     "SelfishStrategy",
     "AltruisticStrategy",

@@ -52,7 +52,12 @@ import numpy as np
 
 from repro.errors import StrategyError
 from repro.registry import register_strategy
-from repro.strategies.base import RelocationProposal, RelocationStrategy, StrategyContext
+from repro.strategies.base import (
+    ProposalBatch,
+    RelocationProposal,
+    RelocationStrategy,
+    StrategyContext,
+)
 
 __all__ = ["AltruisticStrategy", "exact_contributions"]
 
@@ -170,18 +175,19 @@ class AltruisticStrategy(RelocationStrategy):
     def propose(self, peer_id: PeerId, context: StrategyContext) -> Optional[RelocationProposal]:
         configuration = context.game.configuration
         current_cluster = configuration.cluster_of(peer_id)
+        stay = RelocationProposal.stay(peer_id, current_cluster)
         contributions = self.contributions(peer_id, context)
         if not contributions:
-            return self._stay(peer_id, context)
+            return stay
         best_cluster = max(
             sorted(contributions, key=repr), key=lambda cluster_id: contributions[cluster_id]
         )
         if best_cluster == current_cluster:
-            return self._stay(peer_id, context)
+            return stay
         # The move must help the target cluster more than the peer currently
         # helps the cluster it would leave, otherwise the altruist stays put.
         if contributions[best_cluster] <= contributions.get(current_cluster, 0.0):
-            return self._stay(peer_id, context)
+            return stay
         gain = self.cluster_gain(
             peer_id,
             best_cluster,
@@ -190,7 +196,7 @@ class AltruisticStrategy(RelocationStrategy):
             contributions=contributions,
         )
         if gain <= 0.0:
-            return self._stay(peer_id, context)
+            return stay
         return RelocationProposal(
             peer_id=peer_id,
             source_cluster=current_cluster,
@@ -201,12 +207,12 @@ class AltruisticStrategy(RelocationStrategy):
     def batch_state(self, context: StrategyContext, cluster_order):
         """Shared vectorised scaffolding of the batch (exact-mode) paths.
 
-        Returns ``(contributions, join_increases, leave_decreases)`` over the
-        *cluster_order* columns — the peer x cluster contribution matrix
-        (Eq. 6) plus the per-cluster maintenance-cost deltas — or ``None``
-        when no recall matrix is attached.  The hybrid strategy builds its
-        altruistic term from exactly this state, so the two batch paths can
-        never diverge.
+        Returns ``(membership, contributions, join_increases,
+        leave_decreases)`` over the *cluster_order* columns — the peer x
+        cluster membership and contribution (Eq. 6) matrices plus the
+        per-cluster maintenance-cost deltas — or ``None`` when no recall
+        matrix is attached.  The hybrid strategy builds its altruistic term
+        from exactly this state, so the two batch paths can never diverge.
         """
         matrix = context.game.cost_model.matrix
         if matrix is None:
@@ -228,55 +234,46 @@ class AltruisticStrategy(RelocationStrategy):
         leave_decreases = np.array(
             [self.leave_cost_decrease(cost_model, int(size)) for size in sizes], dtype=float
         )
-        return contributions, join_increases, leave_decreases
+        return membership, contributions, join_increases, leave_decreases
 
-    def propose_all(self, peer_ids, context: StrategyContext):
+    def propose_all(self, peer_ids, context: StrategyContext) -> ProposalBatch:
         """Vectorised batch evaluation in exact mode (per-peer fallback otherwise)."""
-        matrix = context.game.cost_model.matrix
-        if self.mode != "exact" or matrix is None:
+        game = context.game
+        matrix = game.cost_model.matrix
+        cluster_order = game.configuration.nonempty_clusters()
+        if self.mode != "exact" or matrix is None or not cluster_order:
             return super().propose_all(peer_ids, context)
-        configuration = context.game.configuration
-        peer_order = matrix.peer_order
-        cluster_order = configuration.nonempty_clusters()
-        contributions, join_increases, leave_decreases = self.batch_state(
+        membership, contributions, join_increases, leave_decreases = self.batch_state(
             context, cluster_order
         )
-        cluster_index = {cluster_id: column for column, cluster_id in enumerate(cluster_order)}
-        wanted = set(peer_ids)
-        proposals = {}
-        for row, peer_id in enumerate(peer_order):
-            if peer_id not in wanted or peer_id not in configuration:
-                continue
-            current_cluster = configuration.cluster_of(peer_id)
-            current_column = cluster_index.get(current_cluster)
-            row_contributions = contributions[row]
-            best_column = int(np.argmax(row_contributions))
-            best_cluster = cluster_order[best_column]
-            stay = self._stay(peer_id, context)
-            if (
-                best_cluster == current_cluster
-                or current_column is None
-                or row_contributions[best_column] <= row_contributions[current_column]
-            ):
-                proposals[peer_id] = stay
-                continue
-            benefit = float(row_contributions[best_column] - row_contributions[current_column])
-            net_increase = float(join_increases[best_column] - leave_decreases[current_column])
-            gain = benefit - net_increase
-            if gain <= 0.0:
-                proposals[peer_id] = stay
-                continue
-            proposals[peer_id] = RelocationProposal(
-                peer_id=peer_id,
-                source_cluster=current_cluster,
-                target_cluster=best_cluster,
-                gain=gain,
+        rows = np.arange(membership.shape[0])
+
+        def evaluate(current):
+            best = np.argmax(contributions, axis=1)
+            best_contributions = contributions[rows, best]
+            current_contributions = contributions[rows, current]
+            gains = (best_contributions - current_contributions).astype(np.float64) - (
+                join_increases[best] - leave_decreases[current]
             )
-        for peer_id in wanted - set(proposals):
-            proposal = self.propose(peer_id, context)
-            if proposal is not None:
-                proposals[peer_id] = proposal
-        return proposals
+            # The move must help the target cluster more than the peer
+            # currently helps the cluster it would leave, and pay for itself.
+            moving = (
+                (best != current)
+                & ~(best_contributions <= current_contributions)
+                & ~(gains <= 0.0)
+            )
+            return best, gains, moving
+
+        kernel = game._active_kernel()
+        batch, irregular = ProposalBatch.over_columns(
+            game.configuration,
+            matrix,
+            cluster_order,
+            membership,
+            evaluate,
+            peer_rank=kernel.peer_rank if kernel is not None else None,
+        )
+        return self._complete_batch(batch, irregular, peer_ids, context)
 
     def __repr__(self) -> str:
         return f"AltruisticStrategy(mode={self.mode!r})"

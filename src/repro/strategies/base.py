@@ -21,14 +21,17 @@ Strategies can work in two modes:
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Mapping
+from collections.abc import Hashable, Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from repro.game.model import ClusterGame
 from repro.peers.statistics import PeerStatistics
+from repro.strategies.batch import ProposalBatch
 
-__all__ = ["RelocationProposal", "StrategyContext", "RelocationStrategy"]
+__all__ = ["ProposalBatch", "RelocationProposal", "StrategyContext", "RelocationStrategy"]
 
 PeerId = Hashable
 ClusterId = Hashable
@@ -62,6 +65,11 @@ class RelocationProposal:
         """``True`` when the proposal actually changes cluster."""
         return self.source_cluster != self.target_cluster
 
+    @classmethod
+    def stay(cls, peer_id: PeerId, cluster_id: ClusterId) -> "RelocationProposal":
+        """A zero-gain proposal that keeps *peer_id* in *cluster_id*."""
+        return cls(peer_id=peer_id, source_cluster=cluster_id, target_cluster=cluster_id, gain=0.0)
+
 
 @dataclass
 class StrategyContext:
@@ -94,27 +102,59 @@ class RelocationStrategy:
         """Return the peer's relocation proposal, or ``None`` if it prefers to stay."""
         raise NotImplementedError
 
-    def propose_all(self, peer_ids, context: StrategyContext):
-        """Proposals for many peers at once.
+    def propose_all(self, peer_ids, context: StrategyContext) -> ProposalBatch:
+        """Proposals for many peers at once, as a :class:`ProposalBatch`.
 
-        The default implementation simply calls :meth:`propose` per peer;
-        the selfish and altruistic strategies override it with vectorised
-        evaluations (identical results, verified by tests) because the
-        reformulation protocol calls this every round at experiment scale.
+        The batch is a read-only ``peer -> proposal`` mapping over arrays;
+        the reformulation protocol reads the arrays directly.  The default
+        implementation calls :meth:`propose` per peer; the selfish,
+        altruistic and hybrid strategies fill the arrays from vectorised
+        evaluations in exact mode (identical results, verified by tests).
         """
         proposals = {}
         for peer_id in peer_ids:
             proposal = self.propose(peer_id, context)
             if proposal is not None:
                 proposals[peer_id] = proposal
-        return proposals
+        return ProposalBatch.from_proposals(proposals, context.game.configuration)
 
-    def _stay(self, peer_id: PeerId, context: StrategyContext) -> RelocationProposal:
-        """A zero-gain proposal that keeps the peer where it is."""
-        current = context.game.configuration.cluster_of(peer_id)
-        return RelocationProposal(
-            peer_id=peer_id, source_cluster=current, target_cluster=current, gain=0.0
-        )
+    def _complete_batch(
+        self,
+        batch: ProposalBatch,
+        irregular_peers: Sequence[PeerId],
+        peer_ids: Iterable[PeerId],
+        context: StrategyContext,
+    ) -> ProposalBatch:
+        """Restrict a vectorised *batch* to *peer_ids*, completing it if needed.
+
+        Rows outside *peer_ids* are withdrawn.  When some requested peer has
+        no proposal in the arrays, or the arrays miss some peer's
+        memberships (*irregular_peers*), the batch is rebuilt through the
+        per-peer path with :meth:`propose` for the missing peers.
+        """
+        peer_ids = list(peer_ids)
+        index = batch.row_index()
+        try:
+            rows = np.fromiter(map(index.__getitem__, peer_ids), np.int64, len(peer_ids))
+        except KeyError:
+            rows = np.fromiter(
+                (index.get(peer_id, -1) for peer_id in peer_ids), np.int64, len(peer_ids)
+            )
+        answered = np.zeros(len(peer_ids), dtype=bool)
+        answered[rows >= 0] = batch.proposed[rows[rows >= 0]]
+        wanted = np.zeros(batch.proposed.shape, dtype=bool)
+        wanted[rows[answered]] = True
+        batch.proposed &= wanted
+        if answered.all() and not irregular_peers:
+            return batch
+        proposals = dict(batch)
+        for position in np.flatnonzero(~answered):
+            peer_id = peer_ids[position]
+            if peer_id not in proposals:
+                proposal = self.propose(peer_id, context)
+                if proposal is not None:
+                    proposals[peer_id] = proposal
+        return ProposalBatch.from_proposals(proposals, context.game.configuration)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -23,7 +23,12 @@ import numpy as np
 from repro.errors import StrategyError
 from repro.registry import register_strategy
 from repro.strategies.altruistic import AltruisticStrategy
-from repro.strategies.base import RelocationProposal, RelocationStrategy, StrategyContext
+from repro.strategies.base import (
+    ProposalBatch,
+    RelocationProposal,
+    RelocationStrategy,
+    StrategyContext,
+)
 
 __all__ = ["HybridStrategy"]
 
@@ -68,21 +73,22 @@ class HybridStrategy(RelocationStrategy):
         return scores
 
     def propose(self, peer_id: PeerId, context: StrategyContext) -> Optional[RelocationProposal]:
+        current_cluster = context.game.configuration.cluster_of(peer_id)
         scores = self.scores(peer_id, context)
         if not scores:
-            return self._stay(peer_id, context)
+            return RelocationProposal.stay(peer_id, current_cluster)
         best_cluster = max(sorted(scores, key=repr), key=lambda cluster_id: scores[cluster_id])
         best_score = scores[best_cluster]
         if best_score <= 0.0:
-            return self._stay(peer_id, context)
+            return RelocationProposal.stay(peer_id, current_cluster)
         return RelocationProposal(
             peer_id=peer_id,
-            source_cluster=context.game.configuration.cluster_of(peer_id),
+            source_cluster=current_cluster,
             target_cluster=best_cluster,
             gain=best_score,
         )
 
-    def propose_all(self, peer_ids, context: StrategyContext):
+    def propose_all(self, peer_ids, context: StrategyContext) -> ProposalBatch:
         """Vectorised batch evaluation on the best-response kernel.
 
         Scores every peer against every non-empty cluster in one shot: the
@@ -96,46 +102,35 @@ class HybridStrategy(RelocationStrategy):
         matrix = game.cost_model.matrix
         if self.mode != "exact" or kernel is None or matrix is None:
             return super().propose_all(peer_ids, context)
-        configuration = game.configuration
-        cluster_order = configuration.nonempty_clusters()
+        cluster_order = game.configuration.nonempty_clusters()
         if not cluster_order:
             return super().propose_all(peer_ids, context)
         costs = kernel.cost_table(cluster_order)
-        contributions, join_increases, leave_decreases = self._altruistic.batch_state(
-            context, cluster_order
+        membership, contributions, join_increases, leave_decreases = (
+            self._altruistic.batch_state(context, cluster_order)
         )
-        cluster_index = {cluster_id: column for column, cluster_id in enumerate(cluster_order)}
-        wanted = set(peer_ids)
-        proposals = {}
-        for row, peer_id in enumerate(matrix.peer_order):
-            if peer_id not in wanted or peer_id not in configuration:
-                continue
-            current_cluster = configuration.cluster_of(peer_id)
-            current_column = cluster_index.get(current_cluster)
-            if current_column is None:
-                continue  # handled by the per-peer fallback below
-            selfish_gains = costs[row, current_column] - costs[row]
-            altruistic_gains = (
-                contributions[row] - contributions[row, current_column]
-            ) - (join_increases - leave_decreases[current_column])
-            scores = self.weight * selfish_gains + (1.0 - self.weight) * altruistic_gains
-            scores[current_column] = -np.inf
-            best_column = int(np.argmax(scores))
-            best_score = float(scores[best_column])
-            if best_score <= 0.0:
-                proposals[peer_id] = self._stay(peer_id, context)
-                continue
-            proposals[peer_id] = RelocationProposal(
-                peer_id=peer_id,
-                source_cluster=current_cluster,
-                target_cluster=cluster_order[best_column],
-                gain=best_score,
+        rows = np.arange(membership.shape[0])
+
+        def evaluate(current):
+            selfish_gains = costs[rows, current][:, None] - costs
+            altruistic_gains = (contributions - contributions[rows, current][:, None]) - (
+                join_increases[None, :] - leave_decreases[current][:, None]
             )
-        for peer_id in wanted - set(proposals):
-            proposal = self.propose(peer_id, context)
-            if proposal is not None:
-                proposals[peer_id] = proposal
-        return proposals
+            scores = self.weight * selfish_gains + (1.0 - self.weight) * altruistic_gains
+            scores[rows, current] = -np.inf
+            best = np.argmax(scores, axis=1)
+            best_scores = scores[rows, best]
+            return best, best_scores, ~(best_scores <= 0.0)
+
+        batch, irregular = ProposalBatch.over_columns(
+            game.configuration,
+            matrix,
+            cluster_order,
+            membership,
+            evaluate,
+            peer_rank=kernel.peer_rank,
+        )
+        return self._complete_batch(batch, irregular, peer_ids, context)
 
     def __repr__(self) -> str:
         return f"HybridStrategy(weight={self.weight}, mode={self.mode!r})"

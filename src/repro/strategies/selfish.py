@@ -19,8 +19,15 @@ from __future__ import annotations
 from collections.abc import Hashable
 from typing import Dict, Optional
 
+import numpy as np
+
 from repro.registry import register_strategy
-from repro.strategies.base import RelocationProposal, RelocationStrategy, StrategyContext
+from repro.strategies.base import (
+    ProposalBatch,
+    RelocationProposal,
+    RelocationStrategy,
+    StrategyContext,
+)
 from repro.errors import StrategyError
 
 __all__ = ["SelfishStrategy"]
@@ -45,15 +52,7 @@ class SelfishStrategy(RelocationStrategy):
     def _propose_exact(
         self, peer_id: PeerId, context: StrategyContext
     ) -> Optional[RelocationProposal]:
-        response = context.game.best_response(peer_id)
-        if not response.wants_to_move:
-            return self._stay(peer_id, context)
-        return RelocationProposal(
-            peer_id=peer_id,
-            source_cluster=response.current_cluster,
-            target_cluster=response.best_cluster,
-            gain=response.gain,
-        )
+        return self._from_response(context.game.best_response(peer_id))
 
     # -- observed mode --------------------------------------------------------------
 
@@ -94,16 +93,17 @@ class SelfishStrategy(RelocationStrategy):
         self, peer_id: PeerId, context: StrategyContext
     ) -> Optional[RelocationProposal]:
         costs = self.observed_costs(peer_id, context)
-        if not costs:
-            return self._stay(peer_id, context)
         current_cluster = context.game.configuration.cluster_of(peer_id)
+        stay = RelocationProposal.stay(peer_id, current_cluster)
+        if not costs:
+            return stay
         best_cluster = min(sorted(costs, key=repr), key=lambda cluster_id: costs[cluster_id])
         current_cost = costs.get(current_cluster)
         if current_cost is None or best_cluster == current_cluster:
-            return self._stay(peer_id, context)
+            return stay
         gain = current_cost - costs[best_cluster]
         if gain <= 0.0:
-            return self._stay(peer_id, context)
+            return stay
         return RelocationProposal(
             peer_id=peer_id,
             source_cluster=current_cluster,
@@ -118,30 +118,70 @@ class SelfishStrategy(RelocationStrategy):
             return self._propose_exact(peer_id, context)
         return self._propose_observed(peer_id, context)
 
-    def propose_all(self, peer_ids, context: StrategyContext):
-        """Vectorised batch evaluation in exact mode (per-peer fallback otherwise)."""
-        if self.mode != "exact" or context.game.cost_model.matrix is None:
+    def propose_all(self, peer_ids, context: StrategyContext) -> ProposalBatch:
+        """Vectorised batch evaluation in exact mode (per-peer fallback otherwise).
+
+        The batch is filled straight from the kernel's best-response arrays;
+        gains are ``current - best`` cost in float64, whatever the kernel's
+        dtype, exactly as :class:`~repro.game.model.BestResponse` computes
+        them.
+        """
+        game = context.game
+        if self.mode != "exact" or game.cost_model.matrix is None:
             return super().propose_all(peer_ids, context)
-        responses = context.game.best_responses()
-        wanted = set(peer_ids)
-        proposals = {}
-        for peer_id, response in responses.items():
-            if peer_id not in wanted:
-                continue
-            if response.wants_to_move:
-                proposals[peer_id] = RelocationProposal(
-                    peer_id=peer_id,
-                    source_cluster=response.current_cluster,
-                    target_cluster=response.best_cluster,
-                    gain=response.gain,
-                )
-            else:
-                proposals[peer_id] = self._stay(peer_id, context)
-        for peer_id in wanted - set(proposals):
-            proposal = self.propose(peer_id, context)
-            if proposal is not None:
-                proposals[peer_id] = proposal
-        return proposals
+        kernel = game._active_kernel()
+        if kernel is None:
+            # Reference path (no live kernel): the game's table evaluation.
+            responses = game.best_responses()
+            proposals = {
+                peer_id: self._from_response(responses[peer_id]) if peer_id in responses
+                else self.propose(peer_id, context)
+                for peer_id in dict.fromkeys(peer_ids)
+            }
+            return ProposalBatch.from_proposals(proposals, game.configuration)
+        candidates, include_new = game._candidate_set(kernel.peer_order)
+        responses, irregular = kernel.best_response_all(
+            candidate_clusters=candidates, include_new_cluster=include_new
+        )
+        selection = responses.selection
+        if selection is None:
+            return super().propose_all(peer_ids, context)
+        eligible = selection.eligible
+        moving = eligible & ~selection.stay
+        current = selection.current_columns
+        gain = np.where(
+            moving,
+            selection.current_costs.astype(np.float64)
+            - selection.best_costs.astype(np.float64),
+            0.0,
+        )
+        members = np.flatnonzero(eligible)
+        batch = ProposalBatch(
+            kernel._peer_order,
+            selection.candidates,
+            source=current,
+            target=np.where(moving, selection.best_columns, current),
+            fresh=moving & selection.use_new,
+            gain=gain,
+            is_move=moving,
+            proposed=eligible.copy(),
+            member_rows=members,
+            member_columns=current[members],
+            index=kernel._peer_index,
+            peer_rank=kernel.peer_rank,
+        )
+        return self._complete_batch(batch, irregular, peer_ids, context)
+
+    @staticmethod
+    def _from_response(response) -> RelocationProposal:
+        if not response.wants_to_move:
+            return RelocationProposal.stay(response.peer_id, response.current_cluster)
+        return RelocationProposal(
+            peer_id=response.peer_id,
+            source_cluster=response.current_cluster,
+            target_cluster=response.best_cluster,
+            gain=response.gain,
+        )
 
     def __repr__(self) -> str:
         return f"SelfishStrategy(mode={self.mode!r})"

@@ -105,3 +105,8 @@ def make_small_scenario(**overrides):
 def counterexample():
     """The paper's two-peer no-equilibrium instance (alpha = 1)."""
     return build_two_peer_counterexample(alpha=1.0)
+
+
+def process_pool(max_workers: int) -> dict:
+    """The executor spec of a process pool with *max_workers* workers."""
+    return {"name": "process-pool", "options": {"max_workers": max_workers}}

@@ -41,6 +41,20 @@ class TestMessageBus:
         assert bus.count("GrantMessage") == 0
         assert bus.total() == 3
 
+    def test_record_counts_in_bulk_and_skips_zero(self):
+        bus = MessageBus()
+        bus.record("GrantMessage", 0)
+        bus.record("GainReportMessage", 3)
+        bus.publish(QueryMessage(sender="a", receiver="b"))
+        bus.record("GrantMessage", 2)
+        bus.record("GainReportMessage", 1)
+        assert list(bus.snapshot().items()) == [
+            ("GainReportMessage", 4),
+            ("QueryMessage", 1),
+            ("GrantMessage", 2),
+        ]
+        assert bus.log == []
+
     def test_log_disabled_by_default(self):
         bus = MessageBus()
         bus.publish(QueryMessage(sender="a", receiver="b"))

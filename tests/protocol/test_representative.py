@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.overlay.messages import MessageBus
 from repro.peers.configuration import ClusterConfiguration
-from repro.protocol.representative import Representative, elect_representatives, gather_requests
+from repro.protocol.representative import elect_representatives, gather_requests
 from repro.strategies.base import RelocationProposal
 
 
@@ -21,31 +21,36 @@ class TestElection:
 
 
 class TestSelectRequest:
+    """A single cluster's request choice, through the gather phase."""
+
+    def _configuration(self):
+        return ClusterConfiguration(["c1", "c2", "c3"], {"alice": "c1", "carol": "c1"})
+
+    def _select(self, proposals, **kwargs):
+        requests = gather_requests(
+            self._configuration(),
+            {item.peer_id: item for item in proposals},
+            **kwargs,
+        )
+        assert len(requests) <= 1
+        return requests[0] if requests else None
+
     def test_highest_gain_wins(self):
-        representative = Representative(cluster_id="c1", peer_id="alice")
-        selected = representative.select_request(
+        selected = self._select(
             [proposal("alice", "c1", "c2", 0.2), proposal("carol", "c1", "c3", 0.7)]
         )
         assert selected.peer_id == "carol"
         assert selected.gain == 0.7
 
     def test_threshold_filters_requests(self):
-        representative = Representative(cluster_id="c1", peer_id="alice")
-        assert (
-            representative.select_request(
-                [proposal("alice", "c1", "c2", 0.2)], gain_threshold=0.5
-            )
-            is None
-        )
+        assert self._select([proposal("alice", "c1", "c2", 0.2)], gain_threshold=0.5) is None
 
     def test_stay_proposals_are_ignored(self):
-        representative = Representative(cluster_id="c1", peer_id="alice")
-        assert representative.select_request([proposal("alice", "c1", "c1", 0.0)]) is None
+        assert self._select([proposal("alice", "c1", "c1", 0.0)]) is None
 
     def test_gain_reports_are_accounted(self):
         bus = MessageBus()
-        representative = Representative(cluster_id="c1", peer_id="alice")
-        representative.select_request(
+        self._select(
             [proposal("alice", "c1", "c2", 0.2), proposal("carol", "c1", "c1", 0.0)], bus=bus
         )
         assert bus.count("GainReportMessage") == 2

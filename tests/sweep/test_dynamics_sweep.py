@@ -15,6 +15,8 @@ from repro.errors import ConfigurationError, UnknownComponentError
 from repro.sweep.engine import run_sweep
 from repro.sweep.spec import SweepSpec
 
+from tests.conftest import process_pool
+
 #: The scenario-(a) peers-updated axis of Figure 2, as a dynamics grid.
 PEERS_UPDATED_AXIS = tuple(
     {"model": "workload-full", "options": {"peer_fraction": fraction}, "start": 1}
@@ -76,10 +78,10 @@ class TestDynamicsAxis:
 class TestParallelDriftGrid:
     @pytest.fixture(scope="class")
     def serial(self):
-        return run_sweep(drift_grid_spec(), workers=1)
+        return run_sweep(drift_grid_spec(), executor="serial")
 
     def test_drift_grid_is_byte_identical_across_worker_counts(self, serial):
-        pooled = run_sweep(drift_grid_spec(), workers=4)
+        pooled = run_sweep(drift_grid_spec(), executor=process_pool(4))
         serial_payloads = [result.to_dict() for result in serial.results]
         pooled_payloads = [result.to_dict() for result in pooled.results]
         assert serial_payloads == pooled_payloads
@@ -118,7 +120,7 @@ class TestMaintenancePointRunner:
 
     def _run(self, task):
         spec = SweepSpec(tasks=(task,))
-        return run_sweep(spec, workers=1).results[0]
+        return run_sweep(spec, executor="serial").results[0]
 
     def test_dynamics_only_options_work_without_legacy_keys(self):
         result = self._run(
@@ -200,6 +202,6 @@ class TestMaintainRunnerOptions:
                 "dynamics": {"model": "churn", "options": {"departures": 2}},
             },
         )
-        result = run_sweep(spec, workers=1).results[0]
+        result = run_sweep(spec, executor="serial").results[0]
         assert result.extras["drift"][0]["model"] == "churn"
         assert len(result.extras["drift"][0]["peer_ids"]) == 2

@@ -16,6 +16,8 @@ from repro.sweep.cache import (
 )
 from repro.sweep.runners import resolve_runner
 
+from tests.conftest import process_pool
+
 TINY_SCENARIO = {
     "num_peers": 12,
     "num_categories": 3,
@@ -139,8 +141,8 @@ class TestSweepParity:
 
     def test_mutating_runner_parity_across_workers_with_cache(self):
         spec = self.maintenance_spec()
-        serial = run_sweep(spec, workers=1)
-        pooled = run_sweep(spec, workers=3)
+        serial = run_sweep(spec, executor="serial")
+        pooled = run_sweep(spec, executor=process_pool(3))
         assert [r.to_dict() for r in serial.results] == [
             r.to_dict() for r in pooled.results
         ]
@@ -157,9 +159,9 @@ class TestSweepParity:
             overrides={"scenario_overrides": dict(TINY_SCENARIO)},
             seeds=(7, 11),
         )
-        with_cache = run_sweep(spec, workers=1)
+        with_cache = run_sweep(spec, executor="serial")
         clear_scenario_cache()
-        without_cache = run_sweep(spec, workers=1, scenario_cache=False)
+        without_cache = run_sweep(spec, executor="serial", scenario_cache=False)
         assert [r.to_dict() for r in with_cache.results] == [
             r.to_dict() for r in without_cache.results
         ]
@@ -175,7 +177,7 @@ class TestSharingSemantics:
             overrides={"scenario_overrides": dict(TINY_SCENARIO)},
             replications=2,
         )
-        run_sweep(spec, workers=1)
+        run_sweep(spec, executor="serial")
         info = scenario_cache_info()
         # 2 strategies x 2 replication seeds = 4 tasks over 2 distinct worlds.
         assert info["misses"] == 2

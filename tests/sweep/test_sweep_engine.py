@@ -10,6 +10,8 @@ from repro.errors import ConfigurationError
 from repro.events import EventHooks
 from repro.sweep import SweepSpec, read_jsonl, run_sweep
 
+from tests.conftest import process_pool
+
 #: Scenario small enough that one task runs in a few milliseconds.
 TINY_SCENARIO = {
     "num_peers": 12,
@@ -35,8 +37,8 @@ def tiny_spec(**overrides) -> SweepSpec:
 class TestDeterminism:
     def test_worker_count_does_not_change_results(self):
         spec = tiny_spec()
-        serial = run_sweep(spec, workers=1)
-        pooled = run_sweep(spec, workers=4)
+        serial = run_sweep(spec, executor="serial")
+        pooled = run_sweep(spec, executor=process_pool(4))
         assert len(serial) == len(pooled) == 4
         assert [task.to_dict() for task in serial.tasks] == [
             task.to_dict() for task in pooled.tasks
@@ -46,12 +48,12 @@ class TestDeterminism:
 
     def test_rerunning_the_same_spec_is_reproducible(self):
         spec = tiny_spec(seeds=None, replications=3)
-        first = run_sweep(spec, workers=2)
-        second = run_sweep(spec, workers=3)
+        first = run_sweep(spec, executor=process_pool(2))
+        second = run_sweep(spec, executor=process_pool(3))
         assert [r.to_dict() for r in first.results] == [r.to_dict() for r in second.results]
 
     def test_results_are_ordered_by_task_index(self):
-        result = run_sweep(tiny_spec(), workers=4)
+        result = run_sweep(tiny_spec(), executor=process_pool(4))
         for task, run in zip(result.tasks, result.results):
             assert run.config["seed"] == task.config["seed"]
             assert run.config["strategy"] == task.config["strategy"]
@@ -64,7 +66,7 @@ class TestEvents:
         hooks.on_task_started(started.append)
         hooks.on_task_finished(finished.append)
         hooks.on_sweep_end(ended.append)
-        run_sweep(tiny_spec(), workers=2, hooks=hooks)
+        run_sweep(tiny_spec(), executor=process_pool(2), hooks=hooks)
         assert len(started) == len(finished) == 4
         assert sorted(event.index for event in started) == [0, 1, 2, 3]
         assert sorted(event.index for event in finished) == [0, 1, 2, 3]
@@ -80,7 +82,7 @@ class TestEvents:
         order = []
         hooks.on_task_started(lambda event: order.append(("start", event.index)))
         hooks.on_task_finished(lambda event: order.append(("finish", event.index)))
-        run_sweep(tiny_spec(seeds=(7,)), workers=1, hooks=hooks)
+        run_sweep(tiny_spec(seeds=(7,)), executor="serial", hooks=hooks)
         assert order == [("start", 0), ("finish", 0), ("start", 1), ("finish", 1)]
 
 
@@ -88,7 +90,7 @@ class TestPersistence:
     def test_jsonl_round_trip(self, tmp_path):
         path = tmp_path / "sweep.jsonl"
         spec = tiny_spec()
-        result = run_sweep(spec, workers=2, jsonl_path=str(path))
+        result = run_sweep(spec, executor=process_pool(2), jsonl_path=str(path))
         loaded_spec, records = read_jsonl(str(path))
         assert loaded_spec == spec
         assert len(records) == len(result.results)
@@ -106,7 +108,7 @@ class TestPersistence:
 
 class TestAggregation:
     def test_summarize_pools_replications_per_configuration(self):
-        result = run_sweep(tiny_spec(), workers=1)
+        result = run_sweep(tiny_spec(), executor="serial")
         summary = result.summarize(metrics=("rounds",), group_by=("strategy",))
         assert set(summary) == {("selfish",), ("altruistic",)}
         for (strategy,), per_metric in summary.items():
@@ -123,14 +125,14 @@ class TestAggregation:
             assert stats.ci_low <= stats.mean <= stats.ci_high
 
     def test_summary_table_renders_groups_and_metrics(self):
-        result = run_sweep(tiny_spec(), workers=1)
+        result = run_sweep(tiny_spec(), executor="serial")
         table = result.summary_table(metrics=("final_social_cost",), group_by=("strategy",))
         assert "selfish" in table
         assert "final_social_cost" in table
         assert "ci95 low" in table
 
     def test_unknown_metric_is_rejected(self):
-        result = run_sweep(tiny_spec(seeds=(7,)), workers=1)
+        result = run_sweep(tiny_spec(seeds=(7,)), executor="serial")
         with pytest.raises(ConfigurationError, match="unknown sweep metric"):
             result.metric_values("not_a_metric")
 
@@ -152,7 +154,7 @@ class TestAggregation:
                 },
             )
         )
-        result = run_sweep(spec, workers=1)
+        result = run_sweep(spec, executor="serial")
         assert result.metric_values("social_cost_before") == [
             result.results[0].extras["social_cost_before"]
         ]
@@ -173,11 +175,11 @@ class TestRunners:
                 },
             )
         )
-        result = run_sweep(spec, workers=1)
+        result = run_sweep(spec, executor="serial")
         (run,) = result.results
         assert run.kind == "maintenance"
         assert run.num_periods == 2
 
     def test_worker_count_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="workers"):
-            run_sweep(tiny_spec(), workers=0)
+            run_sweep(tiny_spec(), executor=process_pool(0))

@@ -12,6 +12,8 @@ from repro.errors import ConfigurationError, UnknownComponentError
 from repro.session.result import KIND_TRAFFIC
 from repro.sweep import SweepSpec, run_sweep
 
+from tests.conftest import process_pool
+
 #: Scenario small enough that one task runs in a few milliseconds.
 TINY_SCENARIO = {
     "num_peers": 12,
@@ -147,8 +149,8 @@ class TestTrafficSweep:
 
     def test_traffic_metrics_are_byte_identical_for_any_worker_count(self):
         spec = traffic_spec()
-        serial = run_sweep(spec, workers=1)
-        pooled = run_sweep(spec, workers=2)
+        serial = run_sweep(spec, executor="serial")
+        pooled = run_sweep(spec, executor=process_pool(2))
         assert [r.to_dict() for r in serial.results] == [
             r.to_dict() for r in pooled.results
         ]
@@ -157,13 +159,13 @@ class TestTrafficSweep:
         assert all(value > 0 for value in serial.metric_values("qps"))
 
     def test_runner_grafts_the_shaping_phase_metrics(self):
-        result = run_sweep(traffic_spec(workloads=("uniform",)), workers=1).results[0]
+        result = run_sweep(traffic_spec(workloads=("uniform",)), executor="serial").results[0]
         assert result.kind == KIND_TRAFFIC
         assert result.rounds > 0  # from the discovery phase
         assert result.extras["traffic_events"] == 200
 
     def test_summary_groups_keep_workload_variants_apart(self):
-        sweep = run_sweep(traffic_spec(), workers=1)
+        sweep = run_sweep(traffic_spec(), executor="serial")
         groups = sweep.summarize(metrics=("recall_mean",))
         assert len(groups) == 2  # one per workload grid point
 
@@ -174,7 +176,7 @@ class TestTrafficSweep:
                     workloads=("uniform",),
                     runner_options={"after": "tea-break"},
                 ),
-                workers=1,
+                executor="serial",
             )
 
     def test_after_phase_accepts_registry_aliases(self):
