@@ -209,11 +209,13 @@ def test_kernel_speedup_and_exact_parity(benchmark, setups):
 
 @pytest.fixture(scope="module")
 def scaled_setups():
-    """Per-size cache of (configuration, factored cost model) for the scaled tier.
+    """Per-size cache of (configuration, default cost model) for the scaled tier.
 
-    The cost model keeps the recall matrix in factored form — no dense
-    |P| x |P| array exists anywhere on the labels path, which is what makes
-    the 50k round feasible (a dense W alone would be 20 GB).
+    Both sizes are above the labels threshold, so the default
+    ``cost_model()`` keeps the recall matrix factored — no dense |P| x |P|
+    array exists on the labels path, which is what makes the 50k round
+    feasible (a dense W alone would be 20 GB).  The fixture asserts it, so
+    this tier guards the default path.
     """
     cache = {}
 
@@ -223,7 +225,9 @@ def scaled_setups():
             configuration = initial_configuration(
                 data, "random", num_clusters=SCALED_CLUSTERS[num_peers], seed=20
             )
-            cost_model = data.network.cost_model(matrix_mode="factored")
+            cost_model = data.network.cost_model()
+            assert cost_model.matrix.mode == "factored"
+            assert not cost_model.matrix.has_dense
             cache[num_peers] = (configuration, cost_model)
         return cache[num_peers]
 

@@ -38,6 +38,13 @@ construction cost.  Construct with ``mode="factored"`` to skip the dense
 build entirely; the dense matrices then materialise lazily only if a dense
 consumer asks.
 
+**Choosing the representation.**  :func:`resolve_mode` is the one place the
+population decision lives: at or above :data:`LABELS_THRESHOLD` peers (or
+whenever the labels kernel backend is forced) the matrix stays factored, and
+the kernel's ``auto`` backend asks the same function, so it picks ``labels``
+exactly when the matrix is factored.  Below the threshold the dense build is
+eager, as it always was.
+
 Both representations are exact restatements of the paper's formulas; the
 test suite cross-checks them against the reference (per-query) implementation.
 """
@@ -53,9 +60,34 @@ from repro.core.queries import Query, QueryWorkload
 from repro.core.recall import RecallModel
 from repro.errors import UnknownPeerError
 
-__all__ = ["WeightedRecallMatrix", "FactoredRecall"]
+__all__ = ["WeightedRecallMatrix", "FactoredRecall", "LABELS_THRESHOLD", "resolve_mode"]
 
 PeerId = Hashable
+
+#: Population at or above which the default path keeps the recall matrix
+#: factored and the best-response kernel's ``auto`` backend picks ``labels``.
+LABELS_THRESHOLD = 2048
+
+
+def resolve_mode(
+    population: int,
+    kernel_backend: Optional[str] = None,
+    *,
+    threshold: Optional[int] = None,
+) -> str:
+    """The recall representation, ``"dense"`` or ``"factored"``, for a population.
+
+    ``"factored"`` when *kernel_backend* is ``"labels"`` or the population is
+    at least *threshold* (default: :data:`LABELS_THRESHOLD`, read at call
+    time); ``"dense"`` otherwise.  A forced ``"dense"`` backend above the
+    threshold still gets a factored matrix: its dense views build lazily from
+    the factored arrays, and only the ones the kernel reads.
+    """
+    if threshold is None:
+        threshold = LABELS_THRESHOLD
+    if kernel_backend == "labels" or population >= threshold:
+        return "factored"
+    return "dense"
 
 
 class FactoredRecall:
@@ -388,6 +420,11 @@ class WeightedRecallMatrix:
     def mode(self) -> str:
         """``"dense"`` or ``"factored"`` (the construction-time choice)."""
         return self._mode
+
+    @property
+    def has_dense(self) -> bool:
+        """Whether any dense |P| x |P| array (``W``, ``V`` or ``S``) exists yet."""
+        return any(array is not None for array in (self._local, self._global, self._service))
 
     @property
     def peer_order(self) -> List[PeerId]:

@@ -129,9 +129,8 @@ class PeriodicMaintenanceLoop:
     # -- internals ---------------------------------------------------------------
 
     def _cost_model(self):
-        matrix_mode = "factored" if self.kernel_backend == "labels" else None
         return self.network.cost_model(
-            theta=self.theta, alpha=self.alpha, matrix_mode=matrix_mode
+            theta=self.theta, alpha=self.alpha, kernel_backend=self.kernel_backend
         )
 
     def _run_observation(self) -> Optional[OverlaySimulator]:

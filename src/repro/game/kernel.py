@@ -28,12 +28,14 @@ in one of two backends:
   exists anywhere** — this is what makes best-response rounds at 10k-100k
   peers fit on one box.
 
-``backend="auto"`` (the default) picks ``dense`` below
-:data:`~BestResponseKernel.AUTO_LABELS_THRESHOLD` peers and ``labels`` at or
-above it.  ``dtype="float32"`` halves the array memory of either backend;
-costs are then accurate to roughly 1e-3 relative (vs. the 1e-9 float64
-parity the test suite pins), which is plenty for best-response *decisions*
-but not for tight cost assertions — see the README's tolerance contract.
+``backend="auto"`` (the default) picks ``labels`` exactly where
+:func:`~repro.core.recall_matrix.resolve_mode` keeps the recall matrix
+factored — at or above :data:`~repro.core.recall_matrix.LABELS_THRESHOLD`
+peers — and ``dense`` below it.  ``dtype="float32"`` halves the array
+memory of either backend; costs are then accurate to roughly 1e-3 relative
+(vs. the 1e-9 float64 parity the test suite pins), which is plenty for
+best-response *decisions* but not for tight cost assertions — see the
+README's tolerance contract.
 
 The kernel registers itself as a configuration listener, so every
 ``assign`` / ``move`` / ``remove_peer`` updates the caches in ``O(|P|)``
@@ -58,6 +60,7 @@ from typing import Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from repro.core.costs import NEW_CLUSTER, CostModel
+from repro.core.recall_matrix import resolve_mode
 from repro.errors import ConfigurationError
 from repro.game.model import BestResponse
 from repro.peers.configuration import ClusterConfiguration
@@ -94,15 +97,17 @@ class BestResponseKernel:
         require a fresh cost model and hence a fresh kernel, exactly like the
         matrix itself).
     backend:
-        ``"dense"``, ``"labels"`` or ``"auto"`` (default: dense below
-        :data:`AUTO_LABELS_THRESHOLD` peers, labels at or above).
+        ``"dense"``, ``"labels"`` or ``"auto"`` (default: labels where
+        :func:`~repro.core.recall_matrix.resolve_mode` picks the factored
+        recall representation, dense elsewhere).
     dtype:
         ``"float64"`` (default) or ``"float32"``.  float32 halves memory and
         relaxes cost accuracy to ~1e-3 relative.
     """
 
-    #: Population at or above which ``backend="auto"`` switches to labels.
-    AUTO_LABELS_THRESHOLD = 2048
+    #: Population at or above which ``backend="auto"`` switches to labels;
+    #: ``None`` = :data:`~repro.core.recall_matrix.LABELS_THRESHOLD`.
+    AUTO_LABELS_THRESHOLD: Optional[int] = None
 
     def __init__(
         self,
@@ -123,11 +128,8 @@ class BestResponseKernel:
                 f"kernel dtype must be float64 or float32, got {dtype!r}"
             )
         if backend == "auto":
-            backend = (
-                "labels"
-                if len(matrix.peer_order) >= self.AUTO_LABELS_THRESHOLD
-                else "dense"
-            )
+            mode = resolve_mode(len(matrix), threshold=self.AUTO_LABELS_THRESHOLD)
+            backend = "labels" if mode == "factored" else "dense"
         if backend not in _BACKENDS:
             raise ConfigurationError(
                 f"kernel backend must be 'dense', 'labels' or 'auto', got {backend!r}"

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 from repro.core.costs import CostModel
 from repro.core.queries import Query, QueryWorkload
 from repro.core.recall import RecallModel
-from repro.core.recall_matrix import WeightedRecallMatrix
+from repro.core.recall_matrix import WeightedRecallMatrix, resolve_mode
 from repro.core.theta import LinearTheta, ThetaFunction
 from repro.errors import ConfigurationError, UnknownPeerError
 from repro.peers.configuration import ClusterConfiguration
@@ -131,24 +131,27 @@ class PeerNetwork:
         return merged
 
     def recall_matrix(
-        self, *, rebuild: bool = False, mode: Optional[str] = None
+        self, *, rebuild: bool = False, kernel_backend: Optional[str] = None
     ) -> WeightedRecallMatrix:
         """The weighted recall matrix over the current state (cached).
 
-        ``mode`` selects the matrix representation (``"dense"`` eagerly
-        builds the |P| x |P| arrays, ``"factored"`` keeps the compact
-        recall-table factorisation for the labels kernel backend); a cached
-        matrix of a different mode is rebuilt.
+        The representation follows :func:`~repro.core.recall_matrix.resolve_mode`,
+        the same population decision as the kernel's ``auto`` backend: with
+        no *kernel_backend*, ``"dense"`` (the |P| x |P| arrays, built
+        eagerly) below :data:`~repro.core.recall_matrix.LABELS_THRESHOLD`
+        peers and ``"factored"`` (the compact recall-table factorisation; no
+        dense array unless a dense consumer asks) at or above it.
+        ``kernel_backend="labels"`` keeps the matrix factored at every size.
+        A cached matrix is reused unless a *kernel_backend* is given and the
+        cached one is of a different representation.
         """
         recall_model = self.recall_model()
+        mode = resolve_mode(len(self._peers), kernel_backend)
         if self._matrix is None or rebuild or (
-            mode is not None and self._matrix.mode != mode
+            kernel_backend is not None and self._matrix.mode != mode
         ):
             self._matrix = WeightedRecallMatrix(
-                recall_model,
-                self.workloads(),
-                self.peer_ids(),
-                mode=mode if mode is not None else "dense",
+                recall_model, self.workloads(), self.peer_ids(), mode=mode
             )
         return self._matrix
 
@@ -176,16 +179,16 @@ class PeerNetwork:
         theta: Optional[ThetaFunction] = None,
         alpha: float = 1.0,
         use_matrix: bool = True,
-        matrix_mode: Optional[str] = None,
+        kernel_backend: Optional[str] = None,
     ) -> CostModel:
         """Build a :class:`CostModel` for the current network state.
 
         With ``use_matrix=True`` (the default) the weighted recall matrix is
         attached, which is what the experiment-scale runs need; passing
         ``False`` yields the exact per-query reference evaluation.
-        ``matrix_mode`` is forwarded to :meth:`recall_matrix` (use
-        ``"factored"`` for the labels kernel backend at large populations —
-        the dense |P| x |P| arrays are then never materialised).
+        ``kernel_backend`` is forwarded to :meth:`recall_matrix`, which picks
+        the representation: at or above the labels threshold, or with the
+        labels backend forced, the dense |P| x |P| arrays are never built.
         """
         model = CostModel(
             self.recall_model(),
@@ -195,7 +198,7 @@ class PeerNetwork:
             population_size=len(self._peers),
         )
         if use_matrix:
-            model.attach_matrix(self.recall_matrix(mode=matrix_mode))
+            model.attach_matrix(self.recall_matrix(kernel_backend=kernel_backend))
         return model
 
     # -- configuration helpers ---------------------------------------------------------

@@ -78,9 +78,10 @@ class SessionConfig:
     #: Field overrides applied to the preset's :class:`ScenarioConfig`.
     scenario_overrides: Dict[str, Any] = field(default_factory=dict)
     #: Best-response kernel backend (``dense``/``labels``/``auto``); ``None``
-    #: = automatic selection by population size.  ``labels`` additionally
-    #: switches the recall matrix to its factored representation so no
-    #: |P| x |P| array is materialised — the large-population mode.
+    #: = automatic selection by population size, which picks the recall
+    #: representation too: at or above the labels threshold the matrix stays
+    #: factored and the kernel uses ``labels``, so no |P| x |P| array is
+    #: built.  ``labels`` forces the factored representation at every size.
     kernel_backend: Optional[str] = None
     #: Kernel dtype (``float64``/``float32``); ``None`` = float64.  float32
     #: halves kernel memory at ~1e-3 relative cost accuracy.

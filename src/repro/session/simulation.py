@@ -169,13 +169,10 @@ class Simulation:
     def cost_model(self) -> CostModel:
         """The cost model over the network's current state (cached; see :meth:`invalidate`)."""
         if self._cost_model is None:
-            # The labels kernel backend works off the factored recall
-            # representation, so the |P| x |P| dense arrays are never built.
-            matrix_mode = "factored" if self.config.kernel_backend == "labels" else None
             self._cost_model = self.network.cost_model(
                 theta=self.theta,
                 alpha=self.experiment_config.alpha,
-                matrix_mode=matrix_mode,
+                kernel_backend=self.config.kernel_backend,
             )
         return self._cost_model
 

@@ -1,12 +1,18 @@
-"""Tests for the dense weighted recall matrices (fast path == exact path)."""
+"""Tests for the weighted recall matrices (fast path == exact path).
+
+Covers the dense matrices, the factored representation and the population
+decision that picks between them.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.core.recall_matrix import WeightedRecallMatrix
+from repro.core import recall_matrix
+from repro.core.recall_matrix import WeightedRecallMatrix, resolve_mode
 from repro.errors import UnknownPeerError
+from repro.game.kernel import BestResponseKernel
 
 
 @pytest.fixture
@@ -138,3 +144,71 @@ class TestCoveredIndices:
         first = matrix.covered_indices(covered)
         second = matrix.covered_indices(covered)
         assert first is second
+
+
+class TestFactoredRepresentation:
+    @pytest.mark.parametrize("source", ["tiny", "small"])
+    def test_lazy_dense_views_equal_the_eager_build(self, source, tiny_network, small_scenario):
+        network = tiny_network if source == "tiny" else small_scenario.network
+        arguments = (network.recall_model(), network.workloads(), network.peer_ids())
+        eager = WeightedRecallMatrix(*arguments)
+        lazy = WeightedRecallMatrix(*arguments, mode="factored")
+        assert eager.mode == "dense" and eager.has_dense
+        assert lazy.mode == "factored" and not lazy.has_dense
+        for view in ("local_view", "global_view", "service_view"):
+            assert np.array_equal(getattr(lazy, view)(), getattr(eager, view)()), view
+        assert lazy.has_dense
+
+    def test_factored_totals_match_the_dense_rows(self, small_scenario):
+        network = small_scenario.network
+        matrix = WeightedRecallMatrix(
+            network.recall_model(), network.workloads(), network.peer_ids(), mode="factored"
+        )
+        factored = matrix.factored()
+        assert np.allclose(factored.totals_local(), matrix.local_view().sum(axis=1))
+        assert np.allclose(factored.totals_global(), matrix.global_view().sum(axis=1))
+        assert np.allclose(factored.own_local(), np.diag(matrix.local_view()))
+
+
+class TestModeResolution:
+    def test_resolver(self):
+        threshold = recall_matrix.LABELS_THRESHOLD
+        assert resolve_mode(threshold - 1) == "dense"
+        assert resolve_mode(threshold) == "factored"
+        assert resolve_mode(1, "labels") == "factored"
+        assert resolve_mode(threshold - 1, "dense") == "dense"
+        assert resolve_mode(threshold, "dense") == "factored"
+        assert resolve_mode(5, threshold=5) == "factored"
+
+    def test_network_matrix_is_dense_below_the_threshold(self, tiny_network, monkeypatch):
+        monkeypatch.setattr(recall_matrix, "LABELS_THRESHOLD", len(tiny_network) + 1)
+        matrix = tiny_network.recall_matrix()
+        assert matrix.mode == "dense" and matrix.has_dense
+
+    def test_network_matrix_is_factored_at_the_threshold(self, tiny_network, monkeypatch):
+        monkeypatch.setattr(recall_matrix, "LABELS_THRESHOLD", len(tiny_network))
+        matrix = tiny_network.cost_model().matrix
+        assert matrix.mode == "factored" and not matrix.has_dense
+
+    def test_forced_labels_backend_is_factored_at_every_size(self, tiny_network):
+        assert tiny_network.recall_matrix().mode == "dense"
+        assert tiny_network.recall_matrix(kernel_backend="labels").mode == "factored"
+
+    def test_kernel_auto_backend_follows_the_same_threshold(
+        self, tiny_network, tiny_configuration, monkeypatch
+    ):
+        monkeypatch.setattr(recall_matrix, "LABELS_THRESHOLD", len(tiny_network))
+        kernel = BestResponseKernel(tiny_network.cost_model(), tiny_configuration)
+        assert kernel.backend == "labels"
+        assert not kernel.cost_model.matrix.has_dense
+
+    def test_forced_dense_backend_above_the_threshold_builds_only_what_it_reads(
+        self, tiny_network, tiny_configuration, monkeypatch
+    ):
+        monkeypatch.setattr(recall_matrix, "LABELS_THRESHOLD", len(tiny_network))
+        cost_model = tiny_network.cost_model(kernel_backend="dense")
+        assert cost_model.matrix.mode == "factored"
+        kernel = BestResponseKernel(cost_model, tiny_configuration, backend="dense")
+        exact = tiny_network.cost_model(use_matrix=False)
+        assert kernel.social_cost() == pytest.approx(exact.social_cost(tiny_configuration))
+        assert cost_model.matrix._service is None
