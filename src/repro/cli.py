@@ -831,12 +831,6 @@ def _command_sweep(arguments: argparse.Namespace) -> int:
                 f"({event.failure.error_type}: {event.failure.message})"
             )
         )
-        hooks.on_shm_degraded(
-            lambda event: print(
-                f"task {event.index}: shared-memory tier degraded for "
-                f"scenario {event.scenario_key[:12]} (task still ran)"
-            )
-        )
         hooks.on_sweep_end(
             lambda event: print(
                 f"sweep finished: {event.total} tasks "

@@ -50,7 +50,7 @@ only the in-flight tasks, and tasks that exhaust their budget are
 quarantined (``SweepResult.failures`` + the store's quarantine tier) so a
 sweep completes with partial results instead of aborting.  A
 :class:`~repro.sweep.faults.FaultPlan` injects deterministic chaos
-(exceptions, hangs, worker kills, shm unlinks) for testing all of it.
+(exceptions, hangs, worker kills) for testing all of it.
 
 The ``distributed`` backend (:mod:`repro.sweep.distributed`) extends all of
 this across processes and hosts: a coordinator enqueues the grid into a

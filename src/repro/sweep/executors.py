@@ -17,8 +17,7 @@ Three executors ship here:
   The deterministic reference path and the default.
 * ``process-pool`` — every task submitted to a
   :class:`concurrent.futures.ProcessPoolExecutor` up front; results stream
-  back in completion order.  ``run_sweep(workers=N)`` is a deprecated alias
-  for this executor.
+  back in completion order.
 * ``chunked-streaming`` — a process pool with a *bounded in-flight window*:
   at most ``window`` tasks are submitted-but-unfinished at any moment, and a
   new task is submitted as each one completes.  For very large grids this
@@ -33,11 +32,11 @@ same contract below; its ``task_started`` events are reconstructed from
 queue observations and it additionally reports reclaimed leases through
 ``on_lease_reclaimed``.
 
-The legacy ``run_sweep(workers=N)`` parameter is a deprecated alias for the
-process pool; prefer an executor spec — ``--executor process-pool``
+A pool's worker count lives in its executor spec: ``--executor process-pool``
 ``--executor-options '{"max_workers": N}'`` on the CLI, or
 ``executor={"name": "process-pool", "options": {"max_workers": N}}`` in
-code.
+code.  Every worker builds its own scenario data and recall matrix, exactly
+as a serial run does.
 
 Event ordering contract (all executors)
 ---------------------------------------
@@ -127,10 +126,9 @@ class TaskOutcome(NamedTuple):
     """One terminal task outcome as streamed back by an executor.
 
     Success sets ``result``; quarantine (the task exhausted its retry
-    budget) sets ``failure`` and leaves ``result`` ``None``.  ``degraded``
-    lists the shared-memory scenario keys this task fell back from (empty
-    in the ordinary case); ``attempt`` is the attempt number that produced
-    the outcome (1 unless the task was retried or crash-requeued).
+    budget) sets ``failure`` and leaves ``result`` ``None``.  ``attempt`` is
+    the attempt number that produced the outcome (1 unless the task was
+    retried or crash-requeued).
     """
 
     task: SweepTask
@@ -138,7 +136,6 @@ class TaskOutcome(NamedTuple):
     #: Worker-side wall-clock seconds for this task.
     duration: float
     failure: Optional[TaskFailure] = None
-    degraded: Tuple[str, ...] = ()
     attempt: int = 1
 
 
@@ -168,18 +165,14 @@ class ExecutorContext:
     retried, and the deterministic backoff delay; the engine turns it into
     ``task_failed`` (+ ``task_retried``) events.  ``store_path`` is the
     content-addressed result store the workers persist into (and read cached
-    scenario data from), or ``None``.  ``shm_manifest`` is the shared-memory
-    scenario-array manifest published by the engine's
-    :class:`~repro.sweep.shm.ScenarioArrayServer` (or ``None`` when the tier
-    is off); it is a plain dict so it pickles to workers cheaply.
-    ``retry_policy``/``task_timeout``/``faults`` configure the resilience
-    layer (:mod:`repro.sweep.faults`) identically for every executor.
+    scenario data from), or ``None``.  ``retry_policy``/``task_timeout``/
+    ``faults`` configure the resilience layer (:mod:`repro.sweep.faults`)
+    identically for every executor.
     """
 
     scenario_cache: bool = True
     store_path: Optional[str] = None
     on_started: Callable[..., None] = field(default=_noop_started)
-    shm_manifest: Optional[Dict[str, Any]] = None
     retry_policy: RetryPolicy = field(default_factory=RetryPolicy)
     task_timeout: Optional[float] = None
     faults: Optional[FaultPlan] = None
@@ -196,7 +189,6 @@ def execute_task(
     *,
     scenario_cache: bool = True,
     store: Optional[Any] = None,
-    shm_manifest: Optional[Dict[str, Any]] = None,
     timeout: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
     attempt: int = 1,
@@ -245,25 +237,11 @@ def execute_task(
         if faults:
             rule = faults.match(task_hash(task), task.index, attempt)
             if rule is not None:
-                from repro.sweep.shm import scenario_shm_key
-
-                trigger_fault(
-                    rule,
-                    scenario_key=scenario_shm_key(config),
-                    shm_manifest=shm_manifest,
-                )
+                trigger_fault(rule)
         data = None
         if scenario_cache and scenario_cache_enabled():
             mutates = runner_mutates_scenario(runner)
             data = scenario_data_for(config, mutates=mutates, store=store_obj)
-            if shm_manifest and not mutates:
-                # Shared-memory tier: reuse the coordinator-published recall
-                # arrays instead of rebuilding |P| x |P| products per process.
-                # Best-effort — on any failure the ordinary build path applies
-                # and the degraded key is recorded for the caller to report.
-                from repro.sweep.shm import adopt_shared_matrix, scenario_shm_key
-
-                adopt_shared_matrix(data.network, scenario_shm_key(config), shm_manifest)
         simulation = Simulation.from_config(config, data=data)
         result = runner(simulation, dict(task.options))
     result.protocol_result = None
@@ -273,31 +251,10 @@ def execute_task(
     return result, duration
 
 
-def _execute_payload(
-    payload: Dict[str, object],
-    scenario_cache: bool = True,
-    store_path: Optional[str] = None,
-    shm_manifest: Optional[Dict[str, Any]] = None,
-) -> Tuple[RunResult, float]:
-    """Process-pool entry point: rebuild the task from its dict form and run it.
-
-    Kept for third-party executors built against the PR-6 protocol; the
-    built-in pool executors now go through :func:`_execute_payload_envelope`
-    so failures cross the process boundary as data instead of exceptions.
-    """
-    return execute_task(
-        SweepTask.from_dict(payload),
-        scenario_cache=scenario_cache,
-        store=store_path,
-        shm_manifest=shm_manifest,
-    )
-
-
 def _execute_payload_envelope(
     payload: Dict[str, object],
     scenario_cache: bool = True,
     store_path: Optional[str] = None,
-    shm_manifest: Optional[Dict[str, Any]] = None,
     timeout: Optional[float] = None,
     faults: Optional[FaultPlan] = None,
     attempt: int = 1,
@@ -306,13 +263,10 @@ def _execute_payload_envelope(
 
     Exceptions (organic, injected, or timeout) are converted into an
     ``{"status": "error", ...}`` envelope worker-side so the coordinator can
-    apply retry policy without the pool treating the task as poisonous; a
-    success envelope additionally carries the shared-memory scenario keys
-    the attempt degraded on.  Marks the process as a pool worker first, so
-    an injected ``worker-kill`` rule takes the real ``os._exit`` path.
+    apply retry policy without the pool treating the task as poisonous.
+    Marks the process as a pool worker first, so an injected
+    ``worker-kill`` rule takes the real ``os._exit`` path.
     """
-    from repro.sweep.shm import consume_degraded_keys
-
     mark_worker_process()
     started = time.perf_counter()
     try:
@@ -320,7 +274,6 @@ def _execute_payload_envelope(
             SweepTask.from_dict(payload),
             scenario_cache=scenario_cache,
             store=store_path,
-            shm_manifest=shm_manifest,
             timeout=timeout,
             faults=faults,
             attempt=attempt,
@@ -331,12 +284,7 @@ def _execute_payload_envelope(
             "duration": time.perf_counter() - started,
             "error": failure_payload(error, attempt),
         }
-    return {
-        "status": "ok",
-        "result": result,
-        "duration": duration,
-        "degraded": consume_degraded_keys(),
-    }
+    return {"status": "ok", "result": result, "duration": duration}
 
 
 class SweepExecutor(ABC):
@@ -346,9 +294,10 @@ class SweepExecutor(ABC):
     tasks with stored results) and an :class:`ExecutorContext`, and yield one
     :class:`TaskOutcome` per task in any order.  They must honour the event
     ordering contract documented in the module docstring, run every task
-    through :func:`execute_task` (or :func:`_execute_payload` across a
-    process boundary) so durations and store persistence behave identically
-    everywhere, and never let scheduling feed back into task inputs.
+    through :func:`execute_task` (or :func:`_execute_payload_envelope`
+    across a process boundary) so durations and store persistence behave
+    identically everywhere, and never let scheduling feed back into task
+    inputs.
     """
 
     #: Registered name, for display and the ``SweepResult.executor`` field.
@@ -383,7 +332,6 @@ class SerialExecutor(SweepExecutor):
     def run(
         self, tasks: Iterable[SweepTask], context: ExecutorContext
     ) -> Iterator[TaskOutcome]:
-        from repro.sweep.shm import consume_degraded_keys
         from repro.sweep.store import task_hash
 
         policy = context.retry_policy
@@ -399,7 +347,6 @@ class SerialExecutor(SweepExecutor):
                         task,
                         scenario_cache=context.scenario_cache,
                         store=context.store_path,
-                        shm_manifest=context.shm_manifest,
                         timeout=context.task_timeout,
                         faults=context.faults,
                         attempt=attempt,
@@ -429,13 +376,7 @@ class SerialExecutor(SweepExecutor):
                         attempt=attempt,
                     )
                     break
-                yield TaskOutcome(
-                    task,
-                    result,
-                    duration,
-                    degraded=tuple(consume_degraded_keys()),
-                    attempt=attempt,
-                )
+                yield TaskOutcome(task, result, duration, attempt=attempt)
                 break
 
 
@@ -554,16 +495,7 @@ class _PoolRun:
     def _submit(self, state: _Attempt) -> None:
         self.context.on_started(state.task, state.attempt)
         try:
-            future = self.pool.submit(
-                _execute_payload_envelope,
-                state.task.to_dict(),
-                self.context.scenario_cache,
-                self.context.store_path,
-                self.context.shm_manifest,
-                self.context.task_timeout,
-                self.context.faults,
-                state.attempt,
-            )
+            future = self._pool_submit(state)
         except BrokenExecutor:
             # The pool broke between the last wait and this submit.  The
             # submission never reached a worker, so this attempt is not
@@ -571,17 +503,19 @@ class _PoolRun:
             # resubmit the same attempt (its task_started already fired,
             # matching contract rule 1 — the attempt still runs once).
             self._recover([])
-            future = self.pool.submit(
-                _execute_payload_envelope,
-                state.task.to_dict(),
-                self.context.scenario_cache,
-                self.context.store_path,
-                self.context.shm_manifest,
-                self.context.task_timeout,
-                self.context.faults,
-                state.attempt,
-            )
+            future = self._pool_submit(state)
         self.pending[future] = state
+
+    def _pool_submit(self, state: _Attempt) -> Any:
+        return self.pool.submit(
+            _execute_payload_envelope,
+            state.task.to_dict(),
+            self.context.scenario_cache,
+            self.context.store_path,
+            self.context.task_timeout,
+            self.context.faults,
+            state.attempt,
+        )
 
     def _handle_envelope(self, state: _Attempt, envelope: Dict[str, Any]) -> None:
         if envelope["status"] == "ok":
@@ -590,7 +524,6 @@ class _PoolRun:
                     state.task,
                     envelope["result"],
                     envelope["duration"],
-                    degraded=tuple(envelope.get("degraded", ())),
                     attempt=state.attempt,
                 )
             )

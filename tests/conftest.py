@@ -6,7 +6,9 @@ The fixtures build small, deterministic networks so tests stay fast:
   verify by hand,
 * ``small_scenario`` — a seeded synthetic scenario (16 peers, 4 categories)
   used by protocol / experiment level tests,
-* ``counterexample`` — the paper's two-peer no-equilibrium instance.
+* ``counterexample`` — the paper's two-peer no-equilibrium instance,
+* ``dense_builds`` — records every dense recall array built from the
+  factored form in this process.
 
 Heavier, session-scoped fixtures are cached because many tests only read
 them; tests that mutate state build their own copies.
@@ -105,6 +107,23 @@ def make_small_scenario(**overrides):
 def counterexample():
     """The paper's two-peer no-equilibrium instance (alpha = 1)."""
     return build_two_peer_counterexample(alpha=1.0)
+
+
+@pytest.fixture
+def dense_builds(monkeypatch) -> list:
+    """Names of the ``FactoredRecall.dense_*`` calls made in this process during the test."""
+    from repro.core.recall_matrix import FactoredRecall
+
+    calls = []
+    for name in ("dense_local", "dense_global", "dense_service"):
+        original = getattr(FactoredRecall, name)
+
+        def spy(self, _original=original, _name=name):
+            calls.append(_name)
+            return _original(self)
+
+        monkeypatch.setattr(FactoredRecall, name, spy)
+    return calls
 
 
 def process_pool(max_workers: int) -> dict:

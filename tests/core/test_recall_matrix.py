@@ -155,7 +155,7 @@ class TestFactoredRepresentation:
         lazy = WeightedRecallMatrix(*arguments, mode="factored")
         assert eager.mode == "dense" and eager.has_dense
         assert lazy.mode == "factored" and not lazy.has_dense
-        for view in ("local_view", "global_view", "service_view"):
+        for view in ("local_view", "global_view", "service_matrix"):
             assert np.array_equal(getattr(lazy, view)(), getattr(eager, view)()), view
         assert lazy.has_dense
 

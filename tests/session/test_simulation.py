@@ -19,7 +19,6 @@ from repro import (
     register_strategy,
 )
 from repro.core import recall_matrix
-from repro.core.recall_matrix import FactoredRecall
 from repro.dynamics.updates import update_workload_full
 from repro.registry import strategy_registry
 from repro.strategies.base import RelocationStrategy
@@ -130,45 +129,32 @@ class TestLargePopulationDefault:
     """Above the labels threshold the default path never builds a dense matrix."""
 
     @staticmethod
-    def spy_dense_builds(monkeypatch) -> list:
-        calls = []
-        for name in ("dense_local", "dense_global", "dense_service"):
-            original = getattr(FactoredRecall, name)
-
-            def spy(self, _original=original, _name=name):
-                calls.append(_name)
-                return _original(self)
-
-            monkeypatch.setattr(FactoredRecall, name, spy)
-        return calls
-
-    @staticmethod
     def outcome(result) -> dict:
         summary = result.to_dict()
         summary.pop("config")
         return summary
 
-    def test_default_run_builds_no_dense_matrix_and_matches_forced_labels(self, monkeypatch):
+    def test_default_run_builds_no_dense_matrix_and_matches_forced_labels(
+        self, monkeypatch, dense_builds
+    ):
         # The quick scale has 40 peers: lowering the one threshold makes it "large".
         monkeypatch.setattr(recall_matrix, "LABELS_THRESHOLD", 16)
-        calls = self.spy_dense_builds(monkeypatch)
         default = Simulation.from_config(QUICK)
         result = default.run()
-        assert calls == []
+        assert dense_builds == []
         assert default.cost_model.matrix.mode == "factored"
         assert not default.cost_model.matrix.has_dense
 
         labels = Simulation.from_config(QUICK.with_options(kernel_backend="labels")).run()
-        assert calls == []
+        assert dense_builds == []
         assert result.moves > 0
         # Rounds, moves, traces, message counts and final costs, all at once.
         assert self.outcome(result) == self.outcome(labels)
 
-    def test_default_run_below_the_threshold_builds_the_dense_matrix(self, monkeypatch):
-        calls = self.spy_dense_builds(monkeypatch)
+    def test_default_run_below_the_threshold_builds_the_dense_matrix(self, dense_builds):
         simulation = Simulation.from_config(QUICK)
         simulation.run()
-        assert sorted(calls) == ["dense_global", "dense_local", "dense_service"]
+        assert sorted(dense_builds) == ["dense_global", "dense_local", "dense_service"]
         assert simulation.cost_model.matrix.mode == "dense"
 
 

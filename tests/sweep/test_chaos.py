@@ -2,7 +2,7 @@
 
 The contract under test is the package's design center extended to faults —
 whatever chaos a :class:`FaultPlan` injects (exceptions, hangs, worker
-kills, shm unlinks), a sweep that survives it produces a ``SweepResult``
+kills), a sweep that survives it produces a ``SweepResult``
 byte-identical to a fault-free serial run, and a killed sweep resumes
 through the store without re-executing completed tasks.
 """
@@ -227,26 +227,3 @@ class TestCrashRecovery:
         resumed = run_sweep(spec, store=store)
         assert resumed.executed == 0 and resumed.loaded == len(resumed)
         assert payload(resumed) == payload(reference)
-
-
-class TestShmChaos:
-    def test_shm_unlink_degrades_without_changing_results(self):
-        pytest.importorskip("multiprocessing.shared_memory")
-        from repro.sweep.shm import shared_memory_available
-
-        if not shared_memory_available():
-            pytest.skip("no usable /dev/shm")
-        spec = tiny_spec()
-        reference = run_sweep(spec)
-        plan = FaultPlan(rules=(FaultRule(fault="shm-unlink", index=0, attempts=(1,)),))
-        degraded = []
-        hooks = EventHooks()
-        hooks.on_shm_degraded(lambda event: degraded.append(event.index))
-        result = run_sweep(
-            spec,
-            executor=ProcessPoolSweepExecutor(max_workers=2),
-            faults=plan,
-            hooks=hooks,
-        )
-        assert not result.failures
-        assert payload(result) == payload(reference)

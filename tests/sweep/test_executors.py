@@ -3,10 +3,12 @@ ordering contract, cross-executor parity and the deprecation shims."""
 
 from __future__ import annotations
 
+import json
 import warnings
 
 import pytest
 
+from repro.core import recall_matrix
 from repro.errors import ConfigurationError, UnknownComponentError
 from repro.events import EventHooks
 from repro.registry import executor_registry, register_executor
@@ -22,6 +24,7 @@ from repro.sweep.executors import (
     executor_from_any,
     resolve_executor,
 )
+from tests.conftest import process_pool
 
 TINY_SCENARIO = {
     "num_peers": 12,
@@ -319,12 +322,34 @@ class TestParity:
         assert result.loaded == 0
 
 
-class TestDeprecations:
-    def test_run_sweep_workers_warns_but_works(self):
-        with pytest.warns(DeprecationWarning, match="workers"):
-            result = run_sweep(tiny_spec(seeds=(7,)), workers=1)
-        assert len(result) == 2
+class TestPoolAboveTheLabelsThreshold:
+    """A pool sweep of large scenarios builds no dense recall matrix in the coordinator."""
 
+    def test_process_pool_builds_no_dense_matrix_and_matches_serial(
+        self, monkeypatch, dense_builds
+    ):
+        from repro.sweep.cache import clear_scenario_cache
+
+        # 40 peers count as "large" once the one threshold is lowered to 16.
+        monkeypatch.setattr(recall_matrix, "LABELS_THRESHOLD", 16)
+        spec = tiny_spec(
+            overrides={"scenario_overrides": {**TINY_SCENARIO, "num_peers": 40}}
+        )
+        clear_scenario_cache()
+        try:
+            pooled = run_sweep(spec, executor=process_pool(2))
+            assert dense_builds == []
+            serial = run_sweep(spec, executor="serial")
+        finally:
+            clear_scenario_cache()
+        assert len(pooled) == len(serial) == 4
+        for pooled_run, serial_run in zip(pooled.results, serial.results):
+            assert json.dumps(pooled_run.to_dict(), sort_keys=True) == json.dumps(
+                serial_run.to_dict(), sort_keys=True
+            )
+
+
+class TestDeprecations:
     def test_package_level_execute_task_removed(self):
         import repro.sweep
 

@@ -105,9 +105,10 @@ class TestFaultRules:
         for attempt in (1, 2, 5):
             assert rule.matches(HASH_A, 0, attempt)
 
-    def test_unknown_fault_model_rejected(self):
+    @pytest.mark.parametrize("fault", ["cosmic-ray", "shm-unlink"])
+    def test_unknown_fault_model_rejected(self, fault):
         with pytest.raises(ConfigurationError):
-            FaultRule(fault="cosmic-ray")
+            FaultRule(fault=fault)
         assert "task-exception" in FAULT_MODELS
 
     def test_plan_first_matching_rule_wins(self):
