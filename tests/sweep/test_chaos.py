@@ -227,3 +227,29 @@ class TestCrashRecovery:
         resumed = run_sweep(spec, store=store)
         assert resumed.executed == 0 and resumed.loaded == len(resumed)
         assert payload(resumed) == payload(reference)
+
+
+class TestLargeScenarioChaos:
+    def test_worker_kill_above_the_labels_threshold_matches_serial(
+        self, monkeypatch, dense_builds
+    ):
+        from repro.core import recall_matrix
+        from repro.sweep.cache import clear_scenario_cache
+
+        # 40 peers count as "large" once the labels threshold is lowered to 16.
+        monkeypatch.setattr(recall_matrix, "LABELS_THRESHOLD", 16)
+        spec = tiny_spec(
+            overrides={"scenario_overrides": {**TINY_SCENARIO, "num_peers": 40}}
+        )
+        plan = FaultPlan(rules=(FaultRule(fault="worker-kill", index=0, attempts=(1,)),))
+        clear_scenario_cache()
+        try:
+            result = run_sweep(
+                spec, executor=ProcessPoolSweepExecutor(max_workers=2), faults=plan
+            )
+            assert dense_builds == []
+            reference = run_sweep(spec)
+        finally:
+            clear_scenario_cache()
+        assert not result.failures
+        assert payload(result) == payload(reference)

@@ -150,6 +150,19 @@ class TestExecutorConstruction:
         assert config["heartbeat_interval"] == 2.0
         assert config["faults"]["rules"][0]["fault"] == "task-exception"
 
+    def test_worker_config_carries_only_the_execution_policy(self):
+        # A worker builds its own scenario and recall matrix: the config
+        # hands it no scenario data.
+        config = DistributedSweepExecutor(workers=0).worker_config(ExecutorContext())
+        assert set(config) == {
+            "retry_policy",
+            "task_timeout",
+            "scenario_cache",
+            "faults",
+            "lease_timeout",
+            "heartbeat_interval",
+        }
+
 
 class TestThreadWorkerParity:
     def test_external_workers_match_serial_byte_for_byte(self, tmp_path):
@@ -158,6 +171,29 @@ class TestThreadWorkerParity:
         distributed = run_with_thread_workers(spec, str(tmp_path / "store"), count=2)
         assert payload(distributed) == payload(reference)
         assert distributed.executor == "distributed(external)"
+
+    def test_thread_workers_above_the_labels_threshold_build_no_dense_matrix(
+        self, tmp_path, monkeypatch, dense_builds
+    ):
+        from repro.core import recall_matrix
+        from repro.sweep.cache import clear_scenario_cache
+
+        # 40 peers count as "large" once the labels threshold is lowered to 16;
+        # the selfish runner reads no dense array.  The worker threads share
+        # this process, so the spy sees the workers' builds too.
+        monkeypatch.setattr(recall_matrix, "LABELS_THRESHOLD", 16)
+        spec = tiny_spec(
+            strategies=("selfish",),
+            overrides={"scenario_overrides": {**TINY_SCENARIO, "num_peers": 40}},
+        )
+        clear_scenario_cache()
+        try:
+            distributed = run_with_thread_workers(spec, str(tmp_path / "store"), count=2)
+            assert dense_builds == []
+            reference = run_sweep(spec)
+        finally:
+            clear_scenario_cache()
+        assert payload(distributed) == payload(reference)
 
     def test_retry_through_the_queue_matches_serial(self, tmp_path):
         spec = tiny_spec()
