@@ -9,6 +9,12 @@ driving ten periods of the periodic maintenance loop — per-period drift
 application, cost-model rebuild, protocol run and the kernel-vectorized
 social/workload cost traces.
 
+It also times the scenario fork every Figure 2/3 point pays: a
+``maintenance-point`` task mutates its scenario, so the sweep cache hands it
+a structural copy of the cached build (new per-peer containers, shared
+immutable documents and queries).  A return to full deep copies shows up
+here as a slowdown of more than 20x.
+
 Run with ``--benchmark-json BENCH_maintenance.json`` (CI does) to produce
 the artifact the trend job compares across runs.
 """
@@ -22,6 +28,7 @@ from repro.analysis.reporting import format_table
 from repro.datasets.scenarios import SCENARIO_SAME_CATEGORY, ScenarioConfig
 from repro.experiments.config import ExperimentConfig
 from repro.session import SessionConfig, Simulation
+from repro.sweep.cache import clear_scenario_cache, scenario_data_for
 
 #: The paper's Section 4.2 setting: 200 peers, uniform workload, 10 periods.
 NUM_PEERS = 200
@@ -68,6 +75,16 @@ def drift_session() -> SessionConfig:
     )
 
 
+def figure_session() -> SessionConfig:
+    """The scenario of every paper-scale Figure 2/3 point."""
+    return SessionConfig.from_experiment_config(
+        ExperimentConfig.paper(),
+        scenario=SCENARIO_SAME_CATEGORY,
+        initial="category",
+        scenario_overrides={"uniform_workload": True},
+    )
+
+
 def run_drift_periods():
     simulation = Simulation.from_config(drift_session())
     return simulation.run_maintenance(PERIODS)
@@ -85,6 +102,25 @@ def test_maintenance_drift_run(benchmark):
     assert result.num_periods == PERIODS
     # the schedule fired every period after the first
     assert len(result.extras["drift"]) == PERIODS - 1
+
+
+def test_scenario_fork(benchmark):
+    """The trend-tracked copy path: one scenario fork of the Figure 2/3 world."""
+    session = figure_session()
+    clear_scenario_cache()
+    try:
+        cached = scenario_data_for(session, mutates=False)  # untimed build
+        fork = benchmark.pedantic(
+            scenario_data_for,
+            args=(session,),
+            kwargs={"mutates": True},
+            rounds=10,
+            warmup_rounds=1,
+        )
+    finally:
+        clear_scenario_cache()
+    assert fork is not cached
+    assert fork.peer_ids() == cached.peer_ids()
 
 
 def test_maintenance_drift_shape(drift_result):

@@ -47,6 +47,10 @@ class AttributeSet:
     descriptions and queries.  Instances are hashable so they can be used as
     dictionary keys (e.g. to count query occurrences in a workload).
 
+    Nothing mutates an instance after ``__init__``, so :func:`copy.copy` and
+    :func:`copy.deepcopy` return the instance itself: forks of a scenario
+    share their attribute sets instead of re-creating them.
+
     >>> a = AttributeSet(["p2p", "Clustering"])
     >>> b = AttributeSet(["clustering", "p2p"])
     >>> a == b
@@ -99,6 +103,12 @@ class AttributeSet:
 
     def __hash__(self) -> int:
         return hash(self._attributes)
+
+    def __copy__(self) -> "AttributeSet":
+        return self
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "AttributeSet":
+        return self
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(attribute) for attribute in sorted(self._attributes))

@@ -10,7 +10,7 @@ purity and by the dataset generators to build the paper's three scenarios.
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.attributes import AttributeSet
 
@@ -28,6 +28,12 @@ class Document:
         Optional stable identifier (assigned by generators / collections).
     category:
         Optional ground-truth category label used only for evaluation.
+
+    Documents are value objects: nothing assigns ``attributes``, ``doc_id``
+    or ``category`` outside ``__init__``.  A content update replaces a peer's
+    documents, it never edits one, so :func:`copy.copy` and
+    :func:`copy.deepcopy` return the document itself and scenario forks
+    share every document with the build they were forked from.
     """
 
     __slots__ = ("attributes", "doc_id", "category")
@@ -64,6 +70,12 @@ class Document:
 
     def __hash__(self) -> int:
         return hash((self.attributes, self.doc_id, self.category))
+
+    def __copy__(self) -> "Document":
+        return self
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "Document":
+        return self
 
     def __repr__(self) -> str:
         return (

@@ -50,6 +50,19 @@ class InvertedIndex:
         for document in documents:
             self.add(document)
 
+    def copy(self) -> "InvertedIndex":
+        """An independent index over the same documents.
+
+        The postings sets and the document list are copied; the documents
+        themselves are immutable and shared.
+        """
+        duplicate = InvertedIndex()
+        duplicate._postings = {
+            attribute: set(postings) for attribute, postings in self._postings.items()
+        }
+        duplicate._documents = list(self._documents)
+        return duplicate
+
     def result_count(self, query: Query) -> int:
         """``result(q, p)`` evaluated against the indexed documents."""
         return len(self._matching_positions(query))

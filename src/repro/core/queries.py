@@ -28,7 +28,9 @@ class Query:
 
     Queries are value objects — two queries with the same attributes are the
     same query regardless of who issued them, which is what the frequency
-    counts ``num(q, Q)`` in the paper rely on.
+    counts ``num(q, Q)`` in the paper rely on.  Nothing assigns
+    ``attributes`` outside ``__init__``, so :func:`copy.copy` and
+    :func:`copy.deepcopy` return the query itself.
     """
 
     __slots__ = ("attributes",)
@@ -54,6 +56,12 @@ class Query:
 
     def __len__(self) -> int:
         return len(self.attributes)
+
+    def __copy__(self) -> "Query":
+        return self
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "Query":
+        return self
 
     def __repr__(self) -> str:
         return f"Query({sorted(self.attributes)!r})"

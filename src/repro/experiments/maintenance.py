@@ -208,9 +208,11 @@ def run_maintenance_experiment(
     Every (update scenario, strategy, fraction) point is an independent
     ``maintenance-point`` task of the sweep engine whose perturbation is a
     registered drift model carried in the task config's ``dynamics`` field
-    (see :func:`drift_spec`) — each task rebuilds the scenario from the same
-    seed so every measurement perturbs an identical starting state, which
-    also makes the points embarrassingly parallel: ``workers > 1`` fans them
+    (see :func:`drift_spec`).  All points share one scenario key, so each
+    task forks the cached build (the sweep cache's copy-on-write fork; a
+    rebuild from the same seed when the cache is off) and every measurement
+    perturbs an identical starting state, which also makes the points
+    embarrassingly parallel: ``workers > 1`` fans them
     out — or pass *executor* (name / spec / instance, taking precedence) for
     any registered backend — with results identical to the serial run.
     """

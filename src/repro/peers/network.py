@@ -79,21 +79,17 @@ class PeerNetwork:
     def __len__(self) -> int:
         return len(self._peers)
 
-    def __deepcopy__(self, memo: Dict[int, object]) -> "PeerNetwork":
-        """Deep copy the peers but none of the derived-model caches.
+    def __getstate__(self) -> Dict[str, object]:
+        """The state a copy or a pickle carries: the peers, no derived caches.
 
         The recall model / matrix are pure functions of the peers and can be
-        rebuilt on demand; copying them would waste time and — worse — hand
-        the copy caches built from a *pre-mutation* snapshot if the caller
+        rebuilt on demand; carrying them would waste time and — worse — hand
+        a copy caches built from a *pre-mutation* snapshot if the caller
         copies precisely because it intends to mutate (the sweep engine's
-        copy-on-write scenario cache does exactly that).
+        scenario forks do exactly that).  :func:`copy.deepcopy` and
+        :mod:`pickle` both go through this method.
         """
-        import copy as _copy
-
-        duplicate = PeerNetwork()
-        memo[id(self)] = duplicate
-        duplicate._peers = _copy.deepcopy(self._peers, memo)
-        return duplicate
+        return {**self.__dict__, "_recall_model": None, "_matrix": None, "_peer_versions": {}}
 
     # -- derived models --------------------------------------------------------------
 

@@ -12,12 +12,17 @@ Content and workload are mutable because the paper's Section 4.2 studies
 exactly those updates; every mutating method bumps a ``version`` counter so
 higher layers (the network's recall model, the weighted recall matrices) know
 when cached derived state must be rebuilt.
+
+Documents and queries are immutable value objects, so a deep copy of a peer
+(a scenario fork) copies only the mutable containers — the document list,
+the index postings and the workload counts — and shares every document and
+query with the original.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Iterable
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.core.documents import Document, DocumentCollection
 from repro.core.index import InvertedIndex
@@ -42,6 +47,17 @@ class Peer:
         self.index = InvertedIndex(self.documents)
         self.workload = workload.copy() if workload is not None else QueryWorkload()
         self.version = 0
+
+    def __deepcopy__(self, memo: Dict[int, object]) -> "Peer":
+        """A fork: new containers over the shared immutable documents and queries."""
+        duplicate = type(self).__new__(type(self))
+        memo[id(self)] = duplicate
+        duplicate.peer_id = self.peer_id
+        duplicate.documents = DocumentCollection(self.documents)
+        duplicate.index = self.index.copy()
+        duplicate.workload = self.workload.copy()
+        duplicate.version = self.version
+        return duplicate
 
     # -- content management --------------------------------------------------
 

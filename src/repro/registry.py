@@ -290,8 +290,9 @@ def register_runner(
     network (content/workload updates, churn).  The sweep engine's per-worker
     scenario cache hands non-mutating runners the shared
     :class:`~repro.datasets.scenarios.ScenarioData` and mutating runners a
-    private deep copy.  Runners that do not declare the flag are treated as
-    mutating (the safe default).
+    private structural fork (new per-peer containers; the immutable documents
+    and queries are shared).  Runners that do not declare the flag are
+    treated as mutating (the safe default).
     """
 
     def decorator(component: Any) -> Any:

@@ -12,10 +12,18 @@ distinct key in the worker process and hands it to each task:
   ``mutates_scenario=False``) share the cached instance directly — a
   discovery run only *derives* models from the network, it never changes it;
 * **mutating runners** (the maintenance family, and any runner that does not
-  declare itself) receive a private :func:`copy.deepcopy`, so the pristine
-  cache entry is never perturbed (copy-on-write).
-  :class:`~repro.peers.network.PeerNetwork` drops its derived-model caches
-  during the copy, so a copied-then-mutated scenario behaves exactly like a
+  declare itself) receive a *structural fork* made by :func:`copy.deepcopy`,
+  so the pristine cache entry is never perturbed (copy-on-write).  The fork
+  copies only what a mutation can reach: each
+  :class:`~repro.peers.peer.Peer` gets a new document list, index postings
+  and workload counts, and the corpus generator (its ``rng`` and document
+  counter) is copied whole.  :class:`~repro.core.documents.Document`,
+  :class:`~repro.core.queries.Query` and
+  :class:`~repro.core.attributes.AttributeSet` are shared, because nothing
+  mutates them in place — a content or workload update replaces them, so
+  keeping that invariant is what makes the fork safe.
+  :class:`~repro.peers.network.PeerNetwork` leaves its derived-model caches
+  out of the copy, so a forked-then-mutated scenario behaves exactly like a
   freshly built one.
 
 Because the cached build is deterministic in the key, a cache hit and a cache
@@ -82,8 +90,9 @@ def scenario_data_for(
         :class:`ScenarioConfig` (scale preset + overrides + seed), so two
         tasks share an entry exactly when they would build identical data.
     mutates:
-        ``True`` returns a private deep copy (copy-on-write for runners that
-        perturb the network); ``False`` returns the shared instance.
+        ``True`` returns a private structural fork (copy-on-write for runners
+        that perturb the network: new per-peer containers, shared immutable
+        documents and queries); ``False`` returns the shared instance.
     store:
         Optional :class:`~repro.sweep.store.ResultStore`: on an in-memory
         miss the store's scenario tier is consulted before building, and a

@@ -207,8 +207,10 @@ def execute_task(
     With ``scenario_cache=True`` (the default) tasks sharing a
     ``(scenario, ScenarioConfig)`` key reuse one built
     :class:`~repro.datasets.scenarios.ScenarioData` per process; runners
-    registered as scenario-mutating get a private deep copy (copy-on-write),
-    so results are byte-identical with and without the cache.
+    registered as scenario-mutating get a private structural fork
+    (copy-on-write: new per-peer containers over the shared, never-mutated
+    documents and queries), so results are byte-identical with and without
+    the cache.
 
     When *store* (a :class:`~repro.sweep.store.ResultStore` or its root
     path) is given, the finished result is persisted under the task's

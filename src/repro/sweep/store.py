@@ -41,7 +41,6 @@ one uninterrupted run.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import logging
@@ -506,12 +505,12 @@ class ResultStore:
     def save_scenario(self, scenario: str, scenario_config: Any, data: Any) -> str:
         """Persist built scenario *data* for the pair; returns the content hash.
 
-        The pickle is taken from a deep copy: the network's ``__deepcopy__``
-        drops its derived-model caches, so what lands on disk is exactly the
-        freshly built state — a loaded scenario behaves byte-identically to
-        a rebuilt one.
+        *data* is pickled as it is: the network's ``__getstate__`` leaves its
+        derived-model caches out of the pickle (the same rule a scenario fork
+        follows), so what lands on disk is exactly the built state — a loaded
+        scenario behaves byte-identically to a rebuilt one.
         """
         hash_hex = scenario_hash(scenario, scenario_config)
-        payload = pickle.dumps(copy.deepcopy(data), protocol=pickle.HIGHEST_PROTOCOL)
+        payload = pickle.dumps(data, protocol=pickle.HIGHEST_PROTOCOL)
         _atomic_write_bytes(self.scenario_path(hash_hex), payload)
         return hash_hex

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from repro.session.config import SessionConfig
-from repro.sweep import SweepSpec, run_sweep
+from repro.sweep import ResultStore, SweepSpec, run_sweep
 from repro.sweep.cache import (
     ENV_FLAG,
     clear_scenario_cache,
@@ -39,6 +41,27 @@ def tiny_config(**overrides) -> SessionConfig:
     values = {"scale": "quick", "scenario_overrides": dict(TINY_SCENARIO)}
     values.update(overrides)
     return SessionConfig(**values)
+
+
+def scenario_snapshot(data) -> dict:
+    """Everything a fork's mutation could leak into: per-peer versions,
+    document ids, index postings, result counts and workload counts, plus the
+    generator's random state and document counter."""
+    queries = data.network.global_workload().distinct()
+    peers = {}
+    for peer in data.network.peers():
+        peers[peer.peer_id] = (
+            peer.version,
+            [document.doc_id for document in peer.documents],
+            peer.index.posting_sizes(),
+            [peer.result_count(query) for query in queries],
+            dict(peer.workload.items()),
+        )
+    return {
+        "peers": peers,
+        "rng": data.generator.rng.getstate(),
+        "doc_counter": data.generator._doc_counter,
+    }
 
 
 class TestMemoisation:
@@ -99,6 +122,43 @@ class TestCopyOnWrite:
         private.network.remove_peer(peer_id)
         shared = scenario_data_for(tiny_config(), mutates=False)
         assert peer_id in shared.network
+
+    def test_every_peer_mutator_acts_only_on_the_fork(self):
+        shared = scenario_data_for(tiny_config(), mutates=False)
+        before = scenario_snapshot(shared)
+        fork = scenario_data_for(tiny_config(), mutates=True)
+        generator = fork.generator
+        category = generator.categories[0]
+        peers = fork.network.peers()
+        peers[0].add_document(generator.generate_document(category))
+        peers[1].replace_documents(generator.generate_documents(category, 2))
+        peers[2].replace_document_fraction(0.5, generator.generate_documents(category, 2))
+        peers[3].issue_query(generator.generate_query(category), 3)
+        peers[4].replace_workload(generator.generate_workload(category, 2))
+        peers[5].replace_workload_fraction(0.5, generator.generate_workload(category, 2))
+        after = scenario_snapshot(fork)
+        assert after["doc_counter"] > before["doc_counter"]
+        for peer in peers[:6]:
+            assert after["peers"][peer.peer_id] != before["peers"][peer.peer_id]
+        assert scenario_snapshot(shared) == before
+
+    def test_forks_share_value_objects_but_not_containers(self):
+        shared = scenario_data_for(tiny_config(), mutates=False)
+        fork = scenario_data_for(tiny_config(), mutates=True)
+        peer_id = shared.peer_ids()[0]
+        original, forked = shared.network.peer(peer_id), fork.network.peer(peer_id)
+        assert forked is not original
+        assert forked.documents is not original.documents
+        assert forked.index is not original.index
+        assert forked.workload is not original.workload
+        assert forked.documents[0] is original.documents[0]
+        assert forked.workload.distinct()[0] is original.workload.distinct()[0]
+        query = original.workload.distinct()[0]
+        document = original.documents[0]
+        assert copy.deepcopy(query) is query
+        assert copy.deepcopy(document) is document
+        assert copy.deepcopy(document.attributes) is document.attributes
+        assert copy.copy(query) is query
 
     def test_runner_mutation_flags(self):
         assert runner_mutates_scenario(resolve_runner("maintain"))
@@ -166,6 +226,47 @@ class TestSweepParity:
             r.to_dict() for r in without_cache.results
         ]
         assert scenario_cache_info()["misses"] == 0  # cache really was off
+
+    def drift_spec(self) -> SweepSpec:
+        """Every cluster drift model x both strategies as maintenance-point tasks."""
+        drifts = (
+            {"model": "workload-full", "options": {"peer_fraction": 0.5}},
+            {"model": "workload-fraction", "options": {"fraction": 0.5}},
+            {"model": "content-full", "options": {"peer_fraction": 0.5}},
+            {"model": "content-fraction", "options": {"fraction": 0.5}},
+        )
+        tasks = tuple(
+            {
+                "config": {
+                    "scale": "quick",
+                    "strategy": strategy,
+                    "initial": "category",
+                    "scenario_overrides": dict(TINY_SCENARIO),
+                },
+                "runner": "maintenance-point",
+                "options": {"dynamics": drift},
+            }
+            for drift in drifts
+            for strategy in ("selfish", "altruistic")
+        )
+        return SweepSpec(tasks=tasks)
+
+    def test_maintenance_drifts_cache_on_equals_cache_off(self, tmp_path):
+        spec = self.drift_spec()
+        with_cache = [r.to_dict() for r in run_sweep(spec, executor="serial").results]
+        info = scenario_cache_info()
+        assert (info["misses"], info["copies"]) == (1, 8)
+        assert all(result["extras"]["drift"] for result in with_cache)
+        clear_scenario_cache()
+        without_cache = run_sweep(spec, executor="serial", scenario_cache=False)
+        assert with_cache == [r.to_dict() for r in without_cache.results]
+
+        store = ResultStore(tmp_path / "store")
+        run_sweep(spec, executor="serial", store=store)  # fills the scenario tier
+        clear_scenario_cache()
+        from_store = run_sweep(spec, executor="serial", store=store, resume=False)
+        assert scenario_cache_info()["store_hits"] == 1
+        assert with_cache == [r.to_dict() for r in from_store.results]
 
 
 class TestSharingSemantics:

@@ -4,6 +4,7 @@ resume after an interrupted sweep, and JSONL-vs-store equality."""
 from __future__ import annotations
 
 import json
+import pickle
 import subprocess
 import sys
 import time
@@ -447,6 +448,25 @@ class TestScenarioTier:
             assert loaded.network.peer_ids() == built.network.peer_ids()
         finally:
             clear_scenario_cache()
+
+    def test_pickled_network_carries_no_derived_caches(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        clear_scenario_cache()
+        try:
+            built = scenario_data_for(self._config(), mutates=False)
+            built.network.recall_matrix()  # populate the derived caches
+            assert built.network._recall_model is not None
+            store.save_scenario(built.scenario, built.config, built)
+            loaded = store.load_scenario(built.scenario, built.config)
+        finally:
+            clear_scenario_cache()
+        for network in (loaded.network, pickle.loads(pickle.dumps(built.network))):
+            assert network._recall_model is None
+            assert network._matrix is None
+            assert network._peer_versions == {}
+            assert network.peer_ids() == built.network.peer_ids()
+        # the source keeps its caches: leaving them out never clears them
+        assert built.network._matrix is not None
 
     def test_loaded_scenario_produces_identical_results(self, tmp_path):
         spec = tiny_spec(strategies=("selfish",), seeds=(7,))
